@@ -43,7 +43,7 @@ pub mod time;
 pub mod timer;
 
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
-pub use queue::EventQueue;
+pub use queue::{Due, EventQueue};
 pub use rng::{mix_seed, SimRng};
 pub use time::{SimDuration, SimTime};
 pub use timer::{LazyTimer, TimerFire};

@@ -31,9 +31,16 @@
 //! Discrete-event workloads schedule a large share of their events at the
 //! *current* instant (a handler waking its neighbours "now"). Those
 //! events bypass the backend entirely: they go to a FIFO of
-//! currently-due entries and pop in O(1). [`EventQueue::pop`] always
-//! returns the global `(time, seq)` minimum across both structures, so
-//! the delivery order is exactly the order a pure heap would produce.
+//! currently-due entries and pop in O(1).
+//!
+//! Beside the generic events the queue keeps a **tick lane** for
+//! slot-keyed entries that carry nothing but a slot index (a node's MAC
+//! wake-up): [`EventQueue::schedule_tick`] files them into a FIFO of
+//! same-instant ticks or a small `(time, seq, slot)` heap, never into
+//! the backend. Ticks draw their sequence numbers from the same counter
+//! as events, and [`EventQueue::pop_due`] always returns the global
+//! `(time, seq)` minimum across all four structures, so the delivery
+//! order is exactly the order one pure heap would produce.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -82,6 +89,10 @@ pub struct EventQueue<E> {
     /// pop always takes the global `(time, seq)` minimum.
     now_fifo: VecDeque<Entry<E>>,
     now_time: Option<SimTime>,
+    /// The tick lane: same-instant ticks (kept exactly like `now_fifo`)
+    /// and future ones. The payload is the slot index.
+    tick_fifo: VecDeque<Entry<u32>>,
+    tick_heap: BinaryHeap<Entry<u32>>,
     seq: u64,
     scheduled_total: u64,
     peak_len: usize,
@@ -90,11 +101,37 @@ pub struct EventQueue<E> {
     len: usize,
 }
 
+/// What [`EventQueue::pop_due`] delivers: a generic event or a slot of
+/// the tick lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Due<E> {
+    /// An entry scheduled with [`EventQueue::schedule`].
+    Event(E),
+    /// A slot scheduled with [`EventQueue::schedule_tick`].
+    Tick(usize),
+}
+
 #[derive(Debug)]
 struct Entry<E> {
     time: SimTime,
     seq: u64,
     event: E,
+}
+
+impl<E> Entry<E> {
+    #[inline]
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
+}
+
+/// Where the next entry of [`EventQueue::pop_due`] comes from.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    NowFifo,
+    Backend,
+    TickFifo,
+    TickHeap,
 }
 
 impl<E> PartialEq for Entry<E> {
@@ -526,6 +563,8 @@ impl<E> EventQueue<E> {
             // `capacity`).
             now_fifo: VecDeque::with_capacity(cap),
             now_time: None,
+            tick_fifo: VecDeque::new(),
+            tick_heap: BinaryHeap::new(),
             seq: 0,
             scheduled_total: 0,
             peak_len: 0,
@@ -533,93 +572,175 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Pre-sizes the tick lane for `slots` distinct slots. A caller that
+    /// keeps at most one tick pending per slot (as the simulator does per
+    /// node) then never grows the lane.
+    pub fn with_tick_lane(mut self, slots: usize) -> Self {
+        self.tick_fifo.reserve(slots);
+        self.tick_heap.reserve(slots);
+        self
+    }
+
     /// `true` if this queue runs on the hierarchical timing wheel.
     pub fn is_wheel_backend(&self) -> bool {
         matches!(self.backend, Backend::Wheel(_))
     }
 
-    /// Schedules `event` at absolute time `time`.
+    /// Draws the next sequence number and updates the counters every
+    /// schedule shares, events and ticks alike.
     #[inline]
-    pub fn schedule(&mut self, time: SimTime, event: E) {
+    fn next_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
         self.scheduled_total += 1;
         self.len += 1;
         self.peak_len = self.peak_len.max(self.len);
-        // The FIFO front must be the FIFO's (time, seq) minimum: entries
-        // share one timestamp (the guard) and seqs grow monotonically.
-        // Past-time schedules (legal through the public API, never issued
-        // by the simulator) take the backend, which handles any order.
-        if self.now_time == Some(time)
-            && self.now_fifo.back().is_none_or(|back| back.time == time)
-        {
-            self.now_fifo.push_back(Entry { time, seq, event });
+        seq
+    }
+
+    /// `true` if an entry at `time` may join a same-instant FIFO whose
+    /// newest entry is at `back`. A FIFO front must be the FIFO's
+    /// `(time, seq)` minimum: its entries share one timestamp (the
+    /// guard) and seqs grow monotonically. Past-time schedules (legal
+    /// through the public API, never issued by the simulator) take the
+    /// heaps, which handle any order.
+    #[inline]
+    fn joins_now_fifo(&self, time: SimTime, back: Option<SimTime>) -> bool {
+        self.now_time == Some(time) && back.is_none_or(|back| back == time)
+    }
+
+    /// Schedules `event` at absolute time `time`.
+    #[inline]
+    pub fn schedule(&mut self, time: SimTime, event: E) {
+        let seq = self.next_seq();
+        let entry = Entry { time, seq, event };
+        if self.joins_now_fifo(time, self.now_fifo.back().map(|b| b.time)) {
+            self.now_fifo.push_back(entry);
         } else {
-            self.backend.push(Entry { time, seq, event });
+            self.backend.push(entry);
         }
     }
 
-    /// Removes and returns the earliest event, with its timestamp.
+    /// Schedules a tick for `slot` at absolute time `time`; it pops as
+    /// [`Due::Tick`]. The lane keeps no per-slot state: deduplicating
+    /// ticks of one slot is the caller's business.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` does not fit in a `u32`.
+    #[inline]
+    pub fn schedule_tick(&mut self, time: SimTime, slot: usize) {
+        let seq = self.next_seq();
+        let entry = Entry { time, seq, event: u32::try_from(slot).expect("tick slot fits u32") };
+        if self.joins_now_fifo(time, self.tick_fifo.back().map(|b| b.time)) {
+            self.tick_fifo.push_back(entry);
+        } else {
+            self.tick_heap.push(entry);
+        }
+    }
+
+    /// The structure holding the global `(time, seq)` minimum.
+    #[inline]
+    fn next_source(&self) -> Option<((SimTime, u64), Source)> {
+        let candidates = [
+            (self.now_fifo.front().map(Entry::key), Source::NowFifo),
+            (self.backend.peek_key(), Source::Backend),
+            (self.tick_fifo.front().map(Entry::key), Source::TickFifo),
+            (self.tick_heap.peek().map(Entry::key), Source::TickHeap),
+        ];
+        let mut best: Option<((SimTime, u64), Source)> = None;
+        for (key, source) in candidates {
+            if let Some(key) = key {
+                if best.is_none_or(|(b, _)| key < b) {
+                    best = Some((key, source));
+                }
+            }
+        }
+        best
+    }
+
+    /// Removes and returns the earliest entry, event or tick, with its
+    /// timestamp. Sequence numbers are unique across the lane and the
+    /// events, so the order is the one a single heap over both gives.
+    #[inline]
+    pub fn pop_due(&mut self) -> Option<(SimTime, Due<E>)> {
+        let (_, source) = self.next_source()?;
+        let (time, due) = match source {
+            Source::NowFifo => self.now_fifo.pop_front().map(|e| (e.time, Due::Event(e.event))),
+            Source::Backend => self.backend.pop().map(|e| (e.time, Due::Event(e.event))),
+            Source::TickFifo => self.tick_fifo.pop_front().map(|e| (e.time, Due::Tick(e.event as usize))),
+            Source::TickHeap => self.tick_heap.pop().map(|e| (e.time, Due::Tick(e.event as usize))),
+        }
+        .expect("the peeked source holds an entry");
+        self.len -= 1;
+        self.now_time = Some(time);
+        Some((time, due))
+    }
+
+    /// Removes and returns the earliest event, with its timestamp: the
+    /// form of [`EventQueue::pop_due`] for queues that never use the
+    /// tick lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the earliest entry is a tick.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        // Global (time, seq) minimum across the backend and the
-        // now-FIFO: identical delivery order to a single heap.
-        let take_fifo = match (self.now_fifo.front(), self.backend.peek_key()) {
-            (Some(f), Some(b)) => (f.time, f.seq) < b,
-            (Some(_), None) => true,
-            _ => false,
-        };
-        let e = if take_fifo { self.now_fifo.pop_front() } else { self.backend.pop() }?;
-        self.len -= 1;
-        self.now_time = Some(e.time);
-        Some((e.time, e.event))
+        self.pop_due().map(|(time, due)| match due {
+            Due::Event(event) => (time, event),
+            Due::Tick(slot) => panic!("tick for slot {slot} popped with `pop`; use `pop_due`"),
+        })
     }
 
-    /// Timestamp of the earliest pending event, if any.
+    /// Timestamp of the earliest pending entry, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        match (self.now_fifo.front(), self.backend.peek_key()) {
-            (Some(f), Some((bt, _))) => Some(f.time.min(bt)),
-            (Some(f), None) => Some(f.time),
-            (None, Some((bt, _))) => Some(bt),
-            (None, None) => None,
-        }
+        self.next_source().map(|((time, _), _)| time)
     }
 
-    /// Number of pending events.
+    /// Number of pending entries, ticks included.
     pub fn len(&self) -> usize {
-        debug_assert_eq!(self.len, self.backend.len() + self.now_fifo.len());
+        debug_assert_eq!(
+            self.len,
+            self.backend.len() + self.now_fifo.len() + self.tick_fifo.len() + self.tick_heap.len()
+        );
         self.len
     }
 
-    /// `true` if no events are pending.
+    /// `true` if nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Total number of events ever scheduled (a cheap progress metric).
+    /// Total number of entries ever scheduled, ticks included (a cheap
+    /// progress metric).
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total
     }
 
-    /// Maximum number of events that were pending at once.
+    /// Maximum number of entries that were pending at once.
     pub fn peak_len(&self) -> usize {
         self.peak_len
     }
 
-    /// Combined allocated capacity of the backend and the same-instant
-    /// FIFO. For the heap backend growth in either structure changes
-    /// this value, which is what the no-reallocation tests pin; the
-    /// wheel backend's slot storage grows with event density and is not
-    /// included.
+    /// Combined allocated capacity of the backend, the same-instant FIFO
+    /// and the tick lane. For the heap backend growth in any of these
+    /// changes this value, which is what the no-reallocation tests pin;
+    /// the wheel backend's slot storage grows with event density and is
+    /// not included.
     pub fn capacity(&self) -> usize {
-        self.backend.capacity() + self.now_fifo.capacity()
+        self.backend.capacity()
+            + self.now_fifo.capacity()
+            + self.tick_fifo.capacity()
+            + self.tick_heap.capacity()
     }
 
-    /// Drops all pending events.
+    /// Drops all pending entries.
     pub fn clear(&mut self) {
         self.backend.clear();
         self.now_fifo.clear();
+        self.tick_fifo.clear();
+        self.tick_heap.clear();
         self.len = 0;
     }
 }
@@ -882,5 +1003,114 @@ mod tests {
             }
             prop_assert!(wheel.is_empty());
         }
+
+        /// The tick lane is invisible to delivery order: random
+        /// interleavings of events and ticks — same-instant bursts of
+        /// both, future and past times, far-future events, and slots
+        /// re-armed the instant their tick pops — pop in exactly the
+        /// `(time, seq)` order of one reference heap, on both backends.
+        /// Schedules keep the lane's contract of at most one pending tick
+        /// per slot.
+        #[test]
+        fn tick_lane_matches_single_heap_order(
+            ops in proptest::collection::vec((0u64..10_000, 0u8..9, 0usize..6), 1..400),
+        ) {
+            for (name, q) in both_backends() {
+                let mut q = q.with_tick_lane(6);
+                // Reference: (time, seq, due) with seq numbered exactly as
+                // the queue numbers its schedules.
+                let mut reference: Vec<(u64, u64, Due<usize>)> = Vec::new();
+                let mut seq = 0u64;
+                let mut pending = [false; 6];
+                let mut last_pop = 0u64;
+                let mut push = |q: &mut EventQueue<usize>,
+                                reference: &mut Vec<(u64, u64, Due<usize>)>,
+                                t: u64,
+                                due: Due<usize>| {
+                    match due {
+                        Due::Event(e) => q.schedule(SimTime::from_nanos(t), e),
+                        Due::Tick(slot) => q.schedule_tick(SimTime::from_nanos(t), slot),
+                    }
+                    reference.push((t, seq, due));
+                    seq += 1;
+                };
+                for (i, &(raw, kind, slot)) in ops.iter().enumerate() {
+                    let t = match kind {
+                        0 | 1 => last_pop,
+                        2 | 3 => last_pop + raw,
+                        4 | 5 => last_pop.saturating_sub(raw),
+                        6 => raw << 40,
+                        _ => {
+                            reference.sort_by_key(|&(t, s, _)| (t, s));
+                            let expected = (!reference.is_empty()).then(|| reference.remove(0));
+                            let got = q.pop_due();
+                            prop_assert_eq!(
+                                got.map(|(t, d)| (t.as_nanos(), d)),
+                                expected.map(|(t, _, d)| (t, d)),
+                                "{}: pop at op {}", name, i
+                            );
+                            if let Some((t, _, due)) = expected {
+                                last_pop = t;
+                                if let Due::Tick(s) = due {
+                                    pending[s] = false;
+                                    // Re-arm the slot at the instant it popped,
+                                    // as a MAC handler rescheduling itself does.
+                                    if raw % 2 == 0 {
+                                        pending[s] = true;
+                                        push(&mut q, &mut reference, t, Due::Tick(s));
+                                    }
+                                }
+                            }
+                            continue;
+                        }
+                    };
+                    if kind % 2 == 1 && !pending[slot] {
+                        pending[slot] = true;
+                        push(&mut q, &mut reference, t, Due::Tick(slot));
+                    } else {
+                        push(&mut q, &mut reference, t, Due::Event(i));
+                    }
+                    prop_assert_eq!(q.len(), reference.len(), "{}", name);
+                    prop_assert_eq!(
+                        q.peek_time().map(SimTime::as_nanos),
+                        reference.iter().map(|&(t, s, _)| (t, s)).min().map(|(t, _)| t),
+                        "{}: peek after op {}", name, i
+                    );
+                }
+                reference.sort_by_key(|&(t, s, _)| (t, s));
+                for (t, _, due) in reference {
+                    prop_assert_eq!(q.pop_due().map(|(qt, d)| (qt.as_nanos(), d)), Some((t, due)), "{}", name);
+                }
+                prop_assert!(q.pop_due().is_none(), "{}", name);
+                prop_assert_eq!(q.scheduled_total(), seq, "{}: ticks count once each", name);
+            }
+        }
+    }
+
+    #[test]
+    fn tick_lane_is_counted_and_presized() {
+        let mut q = EventQueue::<()>::with_heap_backend(4).with_tick_lane(8);
+        let initial = q.capacity();
+        for round in 0..50u64 {
+            let now = SimTime::from_nanos(round);
+            for slot in 0..8 {
+                q.schedule_tick(now, slot);
+            }
+            assert_eq!(q.len(), 8);
+            for slot in 0..8 {
+                assert_eq!(q.pop_due(), Some((now, Due::Tick(slot))));
+            }
+        }
+        assert_eq!(q.capacity(), initial, "a pre-sized lane never grows");
+        assert_eq!(q.peak_len(), 8);
+        assert_eq!(q.scheduled_total(), 400);
+    }
+
+    #[test]
+    #[should_panic(expected = "use `pop_due`")]
+    fn pop_refuses_ticks() {
+        let mut q = EventQueue::<()>::new();
+        q.schedule_tick(SimTime::ZERO, 3);
+        q.pop();
     }
 }

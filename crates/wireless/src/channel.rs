@@ -63,6 +63,15 @@ struct Transmission {
     end: SimTime,
 }
 
+/// A node's grid cell: its column and row, for the division-free
+/// adjacency test, next to its flat row-major index, for bucket lookup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Cell {
+    x: u32,
+    y: u32,
+    flat: u32,
+}
+
 /// Uniform spatial hash: positions bucketed into square cells of side
 /// `cell_m`, sized once from the initial deployment's bounding box.
 /// Positions outside the box map to the border cells — clamping is
@@ -77,8 +86,8 @@ struct Grid {
     /// Node ids per cell, row-major; membership order is arbitrary
     /// (queries re-sort or are order-insensitive predicates).
     cells: Vec<Vec<NodeId>>,
-    /// Flat cell index of every node.
-    cell_of: Vec<u32>,
+    /// Cell of every node.
+    cell_of: Vec<Cell>,
 }
 
 impl Grid {
@@ -96,12 +105,12 @@ impl Grid {
             cols,
             rows,
             cells: (0..cols * rows).map(|_| Vec::new()).collect(),
-            cell_of: vec![0; positions.len()],
+            cell_of: Vec::with_capacity(positions.len()),
         };
         for (u, &p) in positions.iter().enumerate() {
-            let c = g.cell_index(p);
-            g.cell_of[u] = c as u32;
-            g.cells[c].push(u);
+            let c = g.cell(p);
+            g.cell_of.push(c);
+            g.cells[c.flat as usize].push(u);
         }
         g
     }
@@ -118,19 +127,19 @@ impl Grid {
     }
 
     #[inline]
-    fn cell_index(&self, p: (f64, f64)) -> usize {
+    fn cell(&self, p: (f64, f64)) -> Cell {
         let (cx, cy) = self.cell_coords(p);
-        cy * self.cols + cx
+        Cell { x: cx as u32, y: cy as u32, flat: (cy * self.cols + cx) as u32 }
     }
 
-    /// `true` if cells `a` and `b` (flat indices) are the same or
-    /// adjacent (8-neighbourhood) — the necessary condition for their
-    /// occupants to be within one cell side of each other.
+    /// `true` if cells `a` and `b` are the same or adjacent
+    /// (8-neighbourhood) — the necessary condition for their occupants to
+    /// be within one cell side of each other. Compares the stored
+    /// coordinates, so the hot carrier-sense and collision scans pay no
+    /// division to recover them from the flat index.
     #[inline]
-    fn adjacent(&self, a: u32, b: u32) -> bool {
-        let (ax, ay) = (a as usize % self.cols, a as usize / self.cols);
-        let (bx, by) = (b as usize % self.cols, b as usize / self.cols);
-        ax.abs_diff(bx) <= 1 && ay.abs_diff(by) <= 1
+    fn adjacent(a: Cell, b: Cell) -> bool {
+        a.x.abs_diff(b.x) <= 1 && a.y.abs_diff(b.y) <= 1
     }
 
     /// Visits every node in the 3×3 cell neighbourhood around `p`.
@@ -153,13 +162,13 @@ impl Grid {
     /// Re-buckets any node whose position crossed a cell boundary.
     fn refresh(&mut self, positions: &[(f64, f64)]) {
         for (u, &p) in positions.iter().enumerate() {
-            let c = self.cell_index(p) as u32;
+            let c = self.cell(p);
             let old = self.cell_of[u];
             if c != old {
-                let cell = &mut self.cells[old as usize];
+                let cell = &mut self.cells[old.flat as usize];
                 let at = cell.iter().position(|&w| w == u).expect("node in its cell");
                 cell.swap_remove(at);
-                self.cells[c as usize].push(u);
+                self.cells[c.flat as usize].push(u);
                 self.cell_of[u] = c;
             }
         }
@@ -490,9 +499,9 @@ impl Channel {
     /// `a` within carrier-sense range of `b`, with `b`'s cell given: the
     /// integer adjacency test culls far-away nodes before any f64 math.
     #[inline]
-    fn within_cs_cell(&self, a: NodeId, b: NodeId, cell_b: u32) -> bool {
+    fn within_cs_cell(&self, a: NodeId, b: NodeId, cell_b: Cell) -> bool {
         a != b
-            && self.grid.adjacent(self.grid.cell_of[a], cell_b)
+            && Grid::adjacent(self.grid.cell_of[a], cell_b)
             && dist_sq(self.positions[a], self.positions[b]) <= self.cs_range_sq
     }
 
@@ -720,5 +729,61 @@ mod tests {
         assert!(!c.within_cs(0, 2), "265 m > 264 m cs range, adjacent cells");
         assert!(!c.within_cs(0, 3), "600 m: culled by cell adjacency");
         assert!(c.within_cs(2, 1), "2 m apart across a cell boundary");
+    }
+
+    /// The adjacency test as it was before cells kept their coordinates:
+    /// both recovered from the flat index by division.
+    fn adjacent_by_division(cols: usize, a: u32, b: u32) -> bool {
+        let (ax, ay) = (a as usize % cols, a as usize / cols);
+        let (bx, by) = (b as usize % cols, b as usize / cols);
+        ax.abs_diff(bx) <= 1 && ay.abs_diff(by) <= 1
+    }
+
+    #[test]
+    fn coordinate_adjacency_matches_division_form() {
+        // A 5×4-cell grid with one node at every cell centre, so the
+        // nodes' cells cover every cell pair, borders included.
+        let cs = 120.0 * CS_RANGE_FACTOR;
+        let (cols, rows) = (5, 4);
+        let mut positions: Vec<(f64, f64)> = (0..rows)
+            .flat_map(|y| (0..cols).map(move |x| ((x as f64 + 0.5) * cs, (y as f64 + 0.5) * cs)))
+            .collect();
+        // Corner nodes pin the bounding box to exactly cols × rows cells.
+        positions.push((0.0, 0.0));
+        positions.push(((cols as f64 - 0.5) * cs, (rows as f64 - 0.5) * cs));
+        let mut grid = Grid::new(&positions, cs);
+        assert_eq!((grid.cols, grid.rows), (cols, rows));
+        let check = |grid: &Grid| {
+            for &a in &grid.cell_of {
+                assert_eq!((a.x as usize, a.y as usize), (a.flat as usize % cols, a.flat as usize / cols));
+                for &b in &grid.cell_of {
+                    assert_eq!(
+                        Grid::adjacent(a, b),
+                        adjacent_by_division(cols, a.flat, b.flat),
+                        "cells {a:?} and {b:?}"
+                    );
+                }
+            }
+        };
+        check(&grid);
+        let distinct: std::collections::BTreeSet<u32> = grid.cell_of.iter().map(|c| c.flat).collect();
+        assert_eq!(distinct.len(), cols * rows, "every cell is occupied");
+        // Clamped positions: nodes moved off every side of the box, onto
+        // its far corner, and to non-finite coordinates.
+        let off = [
+            (-1e6, -1e6),
+            (1e6, -5.0),
+            (-5.0, 1e6),
+            (1e6, 1e6),
+            (f64::NAN, 2.0 * cs),
+            (2.0 * cs, f64::INFINITY),
+        ];
+        for (u, &p) in off.iter().enumerate() {
+            positions[u * 3] = p;
+        }
+        grid.refresh(&positions);
+        check(&grid);
+        assert_eq!(grid.cell_of[0], Cell { x: 0, y: 0, flat: 0 }, "clamped to the origin cell");
+        assert_eq!(grid.cell_of[9], Cell { x: 4, y: 3, flat: 19 }, "clamped to the far corner");
     }
 }

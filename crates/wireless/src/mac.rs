@@ -102,8 +102,9 @@ pub struct MacState {
     pub busy: bool,
     /// Consecutive failed attempts for the head-of-line frame.
     pub retries: u32,
-    /// `true` when a `MacTick` event is already scheduled, to avoid
-    /// flooding the queue with redundant wake-ups.
+    /// `true` when a MAC tick for this node is already in the event
+    /// queue's tick lane, to avoid flooding it with redundant wake-ups
+    /// (and so the lane holds at most one tick per node).
     pub tick_pending: bool,
     drops_overflow: u64,
 }

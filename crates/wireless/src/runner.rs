@@ -23,15 +23,17 @@ use crate::routing::{
 use crate::scenario::{RoutingKind, Scenario};
 use crate::traffic::Flow;
 use eend_radio::{EnergyMeter, EnergyReport, RadioCard, RadioState, TrafficClass};
-use eend_sim::{mix_seed, EventQueue, SimDuration, SimRng, SimTime, TimerFire};
+use eend_sim::{mix_seed, Due, EventQueue, SimDuration, SimRng, SimTime, TimerFire};
 
 /// ATIM frame body size, bytes.
 const ATIM_BYTES: usize = 28;
 
+/// The simulator's generic events. MAC wake-ups are not among them: they
+/// ride the queue's tick lane ([`EventQueue::schedule_tick`]), keyed by
+/// node, and pop as [`Due::Tick`].
 #[derive(Debug, Clone, PartialEq)]
 enum Event {
     PacketGen(usize),
-    MacTick(NodeId),
     TxnEnd(NodeId),
     Beacon,
     AtimEnd,
@@ -44,13 +46,6 @@ enum Event {
     EnqueueAt(NodeId, Box<Frame>),
     NodeFail(NodeId),
     MobilityTick,
-    /// A run of [`Event::MacTick`]s scheduled back-to-back at the same
-    /// instant (a broadcast waking its whole audience). The members held
-    /// consecutive sequence numbers, so no other event could have fired
-    /// between them — executing them in order inside one event is
-    /// observationally identical and saves one queue round-trip per
-    /// member. Buffers are recycled via `Simulator::tick_batch_pool`.
-    MacTickBatch(Vec<NodeId>),
 }
 
 /// The transaction owns its frame (popped from the MAC queue), so the
@@ -143,6 +138,13 @@ pub struct Simulator {
     forwarded: Vec<bool>,
     pm: Vec<NodePm>,
     pm_modes: Vec<PmMode>,
+    /// Per-node wake deadline for the broadcast eligibility check:
+    /// `SimTime::MAX` for active-mode or dead nodes (they never hold a
+    /// broadcast back), otherwise `pm[i].awake_until`. Outside the ATIM
+    /// window a neighbour `w` is ready to hear a broadcast iff
+    /// `now < wake_deadline[w]` — one gather instead of three. Kept in
+    /// step by [`Simulator::sync_wake_deadline`].
+    wake_deadline: Vec<SimTime>,
     flows: Vec<Flow>,
     alive: Vec<bool>,
     mobility: crate::mobility::Mobility,
@@ -158,7 +160,6 @@ pub struct Simulator {
     // below, pinned by crates/wireless/tests/alloc_count.rs).
     receiver_pool: Vec<Vec<NodeId>>,
     beacon_heads: Vec<(Option<NodeId>, bool)>,
-    tick_batch_pool: Vec<Vec<NodeId>>,
     rc_scratch: Vec<NodeId>,
     /// Pool of routing-agent out-buffers: every `call_routing` borrows
     /// one and `apply_actions` returns it, so steady-state routing emits
@@ -168,8 +169,6 @@ pub struct Simulator {
     /// density), kept in lockstep with `pm_modes` and the channel's
     /// neighbour sets so routing reads it in O(1).
     active_neighbors: Vec<u32>,
-    trace_bcast: bool,
-    trace_beacons: bool,
     // Measurement.
     m: Counters,
 }
@@ -268,8 +267,9 @@ impl Simulator {
 
         // Size the event queue for the scenario's steady state so the
         // heap never reallocates mid-run: at most a handful of pending
-        // events per node (MacTick/TxnEnd/SleepCheck/PmKeepalive/timers
-        // plus delayed-forwarding bursts) and one PacketGen per flow.
+        // events per node (TxnEnd/SleepCheck/PmKeepalive/timers plus
+        // delayed-forwarding bursts) and one PacketGen per flow. The tick
+        // lane holds at most one MAC tick per node (`tick_pending`).
         let event_capacity = (16 * n + 4 * flows.len() + 64).next_power_of_two();
         let mut sim = Simulator {
             card_table,
@@ -280,7 +280,7 @@ impl Simulator {
             power_control: scenario.stack.power_control,
             end: SimTime::ZERO + scenario.duration,
             time: SimTime::ZERO,
-            queue: EventQueue::with_capacity(event_capacity),
+            queue: EventQueue::with_capacity(event_capacity).with_tick_lane(n),
             rng: sim_rng,
             channel,
             nodes,
@@ -288,6 +288,7 @@ impl Simulator {
             forwarded: vec![false; n],
             pm: (0..n).map(|_| NodePm::new(initial_mode)).collect(),
             pm_modes: vec![initial_mode; n],
+            wake_deadline: vec![wake_deadline(true, initial_mode, SimTime::ZERO); n],
             flows,
             alive: vec![true; n],
             mobility: scenario.mobility.clone(),
@@ -299,12 +300,9 @@ impl Simulator {
             next_uid: 1,
             receiver_pool: Vec::new(),
             beacon_heads: Vec::new(),
-            tick_batch_pool: Vec::new(),
             rc_scratch: Vec::new(),
             action_pool: Vec::new(),
             active_neighbors: vec![0; n],
-            trace_bcast: std::env::var_os("EEND_TRACE_BCAST").is_some(),
-            trace_beacons: std::env::var_os("EEND_TRACE_BEACONS").is_some(),
             m: Counters::default(),
         };
         sim.m.routes = vec![None; sim.flows.len()];
@@ -346,14 +344,18 @@ impl Simulator {
     pub fn run_with_stats(mut self) -> (RunMetrics, QueueStats) {
         let initial_capacity = self.queue.capacity();
         let is_wheel_backend = self.queue.is_wheel_backend();
-        while let Some(t) = self.queue.peek_time() {
+        // Popping the first entry past the horizon leaves the counters
+        // reported below as they were; the queue is dropped right after.
+        while let Some((t, due)) = self.queue.pop_due() {
             if t > self.end {
                 break;
             }
-            let (t, ev) = self.queue.pop().expect("peeked");
             debug_assert!(t >= self.time, "event time went backwards");
             self.time = t;
-            self.handle(ev);
+            match due {
+                Due::Tick(u) => self.on_mac_tick(u),
+                Due::Event(ev) => self.handle(ev),
+            }
         }
         let stats = QueueStats {
             initial_capacity,
@@ -401,7 +403,6 @@ impl Simulator {
     fn handle(&mut self, ev: Event) {
         match ev {
             Event::PacketGen(i) => self.on_packet_gen(i),
-            Event::MacTick(u) => self.on_mac_tick(u),
             Event::TxnEnd(u) => self.on_txn_end(u),
             Event::Beacon => self.on_beacon(),
             Event::AtimEnd => self.on_atim_end(),
@@ -414,41 +415,6 @@ impl Simulator {
             Event::EnqueueAt(u, frame) => self.enqueue_frame(u, *frame),
             Event::NodeFail(u) => self.on_node_fail(u),
             Event::MobilityTick => self.on_mobility_tick(),
-            Event::MacTickBatch(mut batch) => {
-                for &r in &batch {
-                    self.on_mac_tick(r);
-                }
-                batch.clear();
-                self.tick_batch_pool.push(batch);
-            }
-        }
-    }
-
-    /// Appends `u` to a same-instant tick batch, applying exactly the
-    /// guard [`Simulator::schedule_mac_tick`] applies at schedule time.
-    fn push_tick_now(&mut self, batch: &mut Vec<NodeId>, u: NodeId) {
-        if self.nodes[u].mac.tick_pending || self.nodes[u].mac.busy {
-            return;
-        }
-        self.nodes[u].mac.tick_pending = true;
-        batch.push(u);
-    }
-
-    /// Schedules a batch built by [`Simulator::push_tick_now`] as one
-    /// event at the current instant (or as a plain tick when only one
-    /// node needs waking).
-    fn commit_ticks_now(&mut self, mut batch: Vec<NodeId>) {
-        match batch.len() {
-            0 => {
-                self.tick_batch_pool.push(batch);
-            }
-            1 => {
-                let u = batch[0];
-                batch.clear();
-                self.tick_batch_pool.push(batch);
-                self.queue.schedule(self.time, Event::MacTick(u));
-            }
-            _ => self.queue.schedule(self.time, Event::MacTickBatch(batch)),
         }
     }
 
@@ -496,6 +462,7 @@ impl Simulator {
         self.pm[u].awake_until = SimTime::ZERO;
         self.pm[u].mode = PmMode::PowerSave;
         self.set_pm_mode(u, PmMode::PowerSave);
+        self.sync_wake_deadline(u);
         if !self.nodes[u].mac.busy && self.meters[u].state() != RadioState::Sleep {
             self.meters[u].set_sleep(self.time);
         }
@@ -572,12 +539,13 @@ impl Simulator {
     }
 
     /// Flips a node's power-management mode, keeping the neighbours'
-    /// backbone counts in sync.
+    /// backbone counts and the node's wake deadline in sync.
     fn set_pm_mode(&mut self, i: NodeId, mode: PmMode) {
         if self.pm_modes[i] == mode {
             return;
         }
         self.pm_modes[i] = mode;
+        self.sync_wake_deadline(i);
         let Simulator { channel, active_neighbors, .. } = self;
         for &w in channel.neighbors(i) {
             if mode == PmMode::ActiveMode {
@@ -585,6 +553,22 @@ impl Simulator {
             } else {
                 active_neighbors[w] -= 1;
             }
+        }
+    }
+
+    /// Recomputes node `i`'s entry of `wake_deadline` from its liveness,
+    /// mode and `awake_until`: the one setter every write to those three
+    /// goes through.
+    #[inline]
+    fn sync_wake_deadline(&mut self, i: NodeId) {
+        self.wake_deadline[i] = wake_deadline(self.alive[i], self.pm_modes[i], self.pm[i].awake_until);
+    }
+
+    /// Keeps PSM node `i` awake until at least `until`.
+    fn keep_awake_until(&mut self, i: NodeId, until: SimTime) {
+        if self.pm[i].awake_until < until {
+            self.pm[i].awake_until = until;
+            self.sync_wake_deadline(i);
         }
     }
 
@@ -650,7 +634,7 @@ impl Simulator {
             return;
         }
         self.nodes[u].mac.tick_pending = true;
-        self.queue.schedule(at.max(self.time), Event::MacTick(u));
+        self.queue.schedule_tick(at.max(self.time), u);
     }
 
     // ------------------------------------------------------------------
@@ -670,8 +654,9 @@ impl Simulator {
             return;
         }
         let now = self.time;
+        let in_atim = self.in_atim(now);
         // A sleeping PSM sender waits for the beacon to announce.
-        if !self.is_awake(u, now) {
+        if !self.pm[u].is_awake(now, in_atim) {
             return;
         }
         // Find an eligible head frame, rotating past frames whose
@@ -686,12 +671,20 @@ impl Simulator {
                 Some(v) => !self.alive[v] || self.is_awake(v, now),
                 None => {
                     // Broadcast: every living PSM neighbour must be up
-                    // (they are, right after an announced beacon).
-                    self.channel.neighbors(u).iter().all(|&w| {
-                        !self.alive[w]
-                            || self.pm_modes[w] == PmMode::ActiveMode
-                            || self.is_awake(w, now)
-                    })
+                    // (they are, right after an announced beacon). Dead
+                    // and active-mode neighbours carry a `MAX` deadline.
+                    let ok = in_atim
+                        || self.channel.neighbors(u).iter().all(|&w| now < self.wake_deadline[w]);
+                    debug_assert_eq!(
+                        ok,
+                        self.channel.neighbors(u).iter().all(|&w| {
+                            !self.alive[w]
+                                || self.pm_modes[w] == PmMode::ActiveMode
+                                || self.is_awake(w, now)
+                        }),
+                        "wake deadlines out of step with alive/pm_modes/awake_until"
+                    );
+                    ok
                 }
             };
             if ok {
@@ -868,22 +861,6 @@ impl Simulator {
             TxnKind::Broadcast { mut receivers, frame } => {
                 self.charge_broadcast(u, &receivers, start, &frame);
                 self.count_tx(u, &frame);
-                if self.trace_bcast {
-                    let psm_rx = receivers
-                        .iter()
-                        .filter(|&&r| self.pm[r].mode == PmMode::PowerSave)
-                        .count();
-                    let neighbors = self.channel.neighbors(u).len();
-                    eprintln!(
-                        "bcast t={} from={} kind={:?} receivers={}/{} psm_rx={}",
-                        now,
-                        u,
-                        std::mem::discriminant(&frame.packet.kind),
-                        receivers.len(),
-                        neighbors,
-                        psm_rx
-                    );
-                }
                 for &r in &receivers {
                     self.nodes[r].mac.busy = false;
                     // Baseline IEEE PSM: a broadcast keeps its PSM
@@ -893,10 +870,7 @@ impl Simulator {
                     // (advertised traffic window) lets them sleep again
                     // once the advertised frame has been received.
                     if !self.psm.span_improved && self.pm[r].mode == PmMode::PowerSave {
-                        let until = self.last_beacon + self.psm.beacon_interval;
-                        if self.pm[r].awake_until < until {
-                            self.pm[r].awake_until = until;
-                        }
+                        self.keep_awake_until(r, self.last_beacon + self.psm.beacon_interval);
                     }
                 }
                 // All receivers share the same collision interval: scan
@@ -915,14 +889,12 @@ impl Simulator {
                     self.apply_actions(r, actions);
                 }
                 self.rc_scratch = interferers;
-                // One batched wake-up for the sender and its audience:
-                // the individual ticks would have held consecutive seqs.
-                let mut batch = self.tick_batch_pool.pop().unwrap_or_default();
-                self.push_tick_now(&mut batch, u);
+                // Wake the sender and its audience, in that order: their
+                // ticks take consecutive seqs, so they run back to back.
+                self.schedule_mac_tick(u, now);
                 for &r in &receivers {
-                    self.push_tick_now(&mut batch, r);
+                    self.schedule_mac_tick(r, now);
                 }
-                self.commit_ticks_now(batch);
                 for &r in &receivers {
                     self.try_sleep_soon(r);
                 }
@@ -1110,21 +1082,6 @@ impl Simulator {
         let tb = self.time;
         self.last_beacon = tb;
         let n = self.nodes.len();
-        if self.trace_beacons && tb.as_nanos().is_multiple_of(30_000_000_000)
-        {
-            let am = self.pm.iter().filter(|p| p.mode == PmMode::ActiveMode).count();
-            let awake_psm = (0..n)
-                .filter(|&i| {
-                    self.pm[i].mode == PmMode::PowerSave
-                        && self.meters[i].state() != RadioState::Sleep
-                })
-                .count();
-            let queued: usize = self.nodes.iter().map(|nd| nd.mac.queue_len()).sum();
-            eprintln!(
-                "beacon t={} am={} awake_psm={} queued_frames={}",
-                tb, am, awake_psm, queued
-            );
-        }
         // Everyone alive in PSM wakes for the ATIM window.
         for i in 0..n {
             if self.alive[i] && self.pm[i].mode == PmMode::PowerSave && !self.nodes[i].mac.busy {
@@ -1171,10 +1128,7 @@ impl Simulator {
                             self.atim_cursor[v] = end;
                         }
                         // Receiver stays up for the data phase.
-                        let until = tb + bi;
-                        if self.pm[v].awake_until < until {
-                            self.pm[v].awake_until = until;
-                        }
+                        self.keep_awake_until(v, tb + bi);
                         if self.psm.span_improved {
                             self.pm[v].announced_incoming =
                                 self.pm[v].announced_incoming.saturating_add(1);
@@ -1185,21 +1139,18 @@ impl Simulator {
                     None => {
                         // Broadcast: wake the PSM neighbourhood. Baseline
                         // PSM keeps them up a full interval; Span lets
-                        // them doze after the advertised window. Split
-                        // borrows walk the neighbour slice directly —
-                        // no copy of the (possibly large) list.
+                        // them doze after the advertised window. The
+                        // neighbour slice is walked by index — no copy of
+                        // the (possibly large) list.
                         let until = if self.psm.span_improved {
                             tb + self.psm.atim_window + self.psm.span_window
                         } else {
                             tb + bi
                         };
-                        let Simulator { channel, pm, alive, .. } = &mut *self;
-                        for &w in channel.neighbors(u) {
-                            if !alive[w] || pm[w].mode != PmMode::PowerSave {
-                                continue;
-                            }
-                            if pm[w].awake_until < until {
-                                pm[w].awake_until = until;
+                        for k in 0..self.channel.neighbors(u).len() {
+                            let w = self.channel.neighbors(u)[k];
+                            if self.alive[w] && self.pm[w].mode == PmMode::PowerSave {
+                                self.keep_awake_until(w, until);
                             }
                         }
                         self.m.atim_tx += 1;
@@ -1209,10 +1160,7 @@ impl Simulator {
             }
             // A PSM sender with announced traffic stays awake to send it.
             if announced_any && self.pm[u].mode == PmMode::PowerSave {
-                let until = tb + bi;
-                if self.pm[u].awake_until < until {
-                    self.pm[u].awake_until = until;
-                }
+                self.keep_awake_until(u, tb + bi);
             }
         }
         self.beacon_heads = heads;
@@ -1233,14 +1181,22 @@ impl Simulator {
                 self.try_sleep(i);
             }
         }
-        // Data phase: wake the queues in one batched event.
-        let mut batch = self.tick_batch_pool.pop().unwrap_or_default();
+        // Data phase: wake every queue, in node order.
         for i in 0..n {
             if !self.nodes[i].mac.queue_is_empty() {
-                self.push_tick_now(&mut batch, i);
+                self.schedule_mac_tick(i, now);
             }
         }
-        self.commit_ticks_now(batch);
+    }
+}
+
+/// A node's broadcast-eligibility deadline (see `Simulator::wake_deadline`).
+#[inline]
+fn wake_deadline(alive: bool, mode: PmMode, awake_until: SimTime) -> SimTime {
+    if !alive || mode == PmMode::ActiveMode {
+        SimTime::MAX
+    } else {
+        awake_until
     }
 }
 

@@ -8,27 +8,48 @@
 //! workload the pre-pool build allocates ~7.3k times, the pooled build
 //! ~2.7k (the rest is inherent packet/route traffic). The ceiling below
 //! sits between the two and fails if per-event `Vec<Action>` churn ever
-//! comes back.
+//! comes back. The same budgets pin that MAC ticks, which ride the event
+//! queue's pre-sized tick lane, allocate nothing in steady state.
+//!
+//! Allocations are counted per thread: the test harness runs these tests
+//! in parallel, and each budget must see only its own run's allocations,
+//! whatever else the process is doing.
 
 use eend_sim::SimDuration;
 use eend_wireless::{presets, stacks, Simulator, TrafficModel};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. A `const`-initialised `Cell`
+    /// needs no lazy initialisation or destructor, so touching it from
+    /// inside the allocator never allocates itself.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation against the calling thread. `try_with` skips
+/// allocations made while the thread's locals are being torn down.
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made by the calling thread so far.
+fn allocs_so_far() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -44,9 +65,9 @@ fn steady_state_run_stays_inside_its_allocation_budget() {
     let warm = Simulator::new(&scenario).run();
     assert!(warm.data_sent > 0);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs_so_far();
     let m = Simulator::new(&scenario).run();
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = allocs_so_far() - before;
     assert!(m.data_sent > 0, "run must carry traffic");
     eprintln!("ALLOC_COUNT={allocs}");
 
@@ -76,9 +97,9 @@ fn mobility1k_run_stays_inside_its_allocation_budget() {
     assert!(warm.data_sent > 0);
 
     let sim = Simulator::new(&scenario);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs_so_far();
     let (m, stats) = sim.run_with_stats();
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = allocs_so_far() - before;
     assert!(stats.is_wheel_backend, "1k nodes must select the timing wheel");
     assert!(m.data_sent > 0, "run must carry traffic");
     eprintln!("ALLOC_COUNT[mobility1k]={allocs}");
@@ -107,9 +128,9 @@ fn stochastic_traffic_models_add_no_per_packet_allocations() {
         let warm = Simulator::new(&scenario).run();
         assert!(warm.data_sent > 0);
 
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs_so_far();
         let m = Simulator::new(&scenario).run();
-        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        let allocs = allocs_so_far() - before;
         assert!(m.data_sent > 100, "{model:?} must carry traffic: {}", m.data_sent);
         eprintln!("ALLOC_COUNT[{model:?}]={allocs}");
         assert!(
