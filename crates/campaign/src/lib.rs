@@ -23,8 +23,8 @@
 //!    structured CSV/JSON — byte-identical whether batched or streamed
 //!    through [`CsvSink`]/[`JsonlSink`];
 //! 4. [`ResultStore`] makes a campaign durable and resumable: records
-//!    append to fingerprinted JSONL shard stores, re-runs skip completed
-//!    jobs, and [`CampaignSpec::shard`] + [`merge_stores`] spread one
+//!    append to fingerprinted JSONL shard stores (each file a torn-tail
+//!    tolerant [`Journal`]), re-runs skip completed jobs, and [`CampaignSpec::shard`] + [`merge_stores`] spread one
 //!    grid across machines and reassemble the byte-identical result —
 //!    [`merge_stores_streaming`] does the same merge record-by-record
 //!    into any sink, so grids larger than RAM still reassemble;
@@ -62,6 +62,7 @@
 #![warn(missing_docs)]
 
 pub mod executor;
+pub mod journal;
 pub mod report;
 pub mod serve;
 pub mod sink;
@@ -71,6 +72,7 @@ pub mod store;
 pub use executor::{
     Backoff, Executor, FailurePolicy, JobFailure, JobOutcome, JobScheduler, WorkerPool,
 };
+pub use journal::Journal;
 pub use report::{metric_columns, CampaignResult, MetricColumn, Record};
 pub use serve::{ServeConfig, ServerHandle};
 pub use sink::{CsvSink, FanoutSink, JsonlSink, MemorySink, RecordSink};

@@ -11,15 +11,17 @@
 //! - `records.jsonl` — one appended JSON line per finished job, keyed
 //!   by the job's global expansion index and carrying the **full**
 //!   [`RunMetrics`], written through the streaming executor in job
-//!   order and flushed per record.
+//!   order and flushed per record;
+//! - `failures.jsonl` — contained job failures, created only when a job
+//!   fails under a skip or retry policy.
 //!
-//! Because every line is self-delimiting and flushed, a killed process
-//! loses at most one partial trailing line — which
-//! [`ResultStore::open`] detects and ignores. Re-opening the store
-//! against the same spec (the fingerprint check refuses a different
-//! one) and calling [`ResultStore::run`] again simulates **only the
-//! missing jobs**: an interrupted-then-resumed campaign reassembles to
-//! the byte-identical [`CampaignResult`] a one-shot run produces.
+//! Both JSONL files are [`Journal`]s: a killed process loses at most one
+//! partial trailing line, which [`ResultStore::open`] truncates away.
+//! Re-opening the store against the same spec (the fingerprint check
+//! refuses a different one) and calling [`ResultStore::run`] again
+//! simulates **only the missing jobs**: an interrupted-then-resumed
+//! campaign reassembles to the byte-identical [`CampaignResult`] a
+//! one-shot run produces.
 //!
 //! Sharding composes with this: `CampaignSpec::shard(i, n)` slices the
 //! job list round-robin, each machine runs its slice into its own
@@ -31,6 +33,7 @@
 //! daemon's aggregate endpoint run on.
 
 use crate::executor::{FailurePolicy, JobFailure, JobScheduler};
+use crate::journal::{Journal, JournalReader};
 use crate::report::{json_num, json_str, CampaignResult, Record};
 use crate::sink::RecordSink;
 use crate::spec::{BaseScenario, CampaignSpec, FailurePlan, Job};
@@ -39,8 +42,8 @@ use eend_sim::SimDuration;
 use eend_wireless::{stacks, RunMetrics};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -541,6 +544,8 @@ pub struct ResultStore {
     manifest: Manifest,
     completed: BTreeSet<usize>,
     failures: BTreeMap<usize, JobFailure>,
+    records: Journal,
+    failure_log: Journal,
 }
 
 impl ResultStore {
@@ -553,7 +558,8 @@ impl ResultStore {
     /// [`io::ErrorKind::InvalidData`]: resuming a campaign under a
     /// different spec would silently mix incompatible records.
     /// Completed job ids are recovered from `records.jsonl`; a partial
-    /// trailing line (the footprint of a killed process) is ignored.
+    /// trailing line (the footprint of a killed process) is truncated
+    /// away, and interior corruption or a duplicated job id is an error.
     pub fn open(dir: impl AsRef<Path>, mut manifest: Manifest) -> io::Result<ResultStore> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
@@ -595,11 +601,7 @@ impl ResultStore {
         } else {
             write_atomic(&manifest_path, manifest.to_json().as_bytes())?;
         }
-        let mut store =
-            ResultStore { dir, manifest, completed: BTreeSet::new(), failures: BTreeMap::new() };
-        store.scan_completed()?;
-        store.scan_failures()?;
-        Ok(store)
+        ResultStore::load(dir, manifest)
     }
 
     /// Opens a store that already exists, trusting its on-disk manifest
@@ -609,11 +611,38 @@ impl ResultStore {
     pub fn open_existing(dir: impl AsRef<Path>) -> io::Result<ResultStore> {
         let dir = dir.as_ref().to_path_buf();
         let manifest = read_manifest(&dir.join(MANIFEST_FILE))?;
-        let mut store =
-            ResultStore { dir, manifest, completed: BTreeSet::new(), failures: BTreeMap::new() };
-        store.scan_completed()?;
-        store.scan_failures()?;
-        Ok(store)
+        ResultStore::load(dir, manifest)
+    }
+
+    /// Opens both journals, recovering completed job ids and the
+    /// contained failures of jobs still pending. `failures.jsonl` is an
+    /// append-only log: a job may appear several times across
+    /// interrupted runs (the last entry wins).
+    fn load(dir: PathBuf, manifest: Manifest) -> io::Result<ResultStore> {
+        let total = manifest.total_jobs;
+        let mut completed = BTreeSet::new();
+        let records_path = dir.join(RECORDS_FILE);
+        let records = Journal::open(&records_path, Some("store.flush"), record_id, |id, line| {
+            if id >= total {
+                return Err(bad_data(format!("record for job {id} out of range ({total} total)")));
+            }
+            if !completed.insert(id) {
+                return Err(bad_data(format!(
+                    "job {id} has more than one record in {} (line {line}) — the store \
+                     has been corrupted or merged with itself",
+                    records_path.display()
+                )));
+            }
+            Ok(())
+        })?;
+        let mut failures = BTreeMap::new();
+        let failure_log =
+            Journal::open(dir.join(FAILURES_FILE), None, failure_from_line, |f, _| {
+                failures.insert(f.job_id, f);
+                Ok(())
+            })?;
+        failures.retain(|id, _| !completed.contains(id));
+        Ok(ResultStore { dir, manifest, completed, failures, records, failure_log })
     }
 
     /// The manifest this store was opened with.
@@ -643,125 +672,6 @@ impl ResultStore {
     /// absent means [`FailurePolicy::Abort`]).
     pub fn policy(&self) -> FailurePolicy {
         self.manifest.policy()
-    }
-
-    /// Re-scans `records.jsonl` for completed job ids. Unparsable
-    /// content is tolerated only as the final line (a torn append from
-    /// a killed writer); it is **truncated away** so the resumed
-    /// writer's first append starts on a clean line. Corruption earlier
-    /// in the file is an error.
-    fn scan_completed(&mut self) -> io::Result<()> {
-        self.completed.clear();
-        let path = self.dir.join(RECORDS_FILE);
-        if !path.exists() {
-            return Ok(());
-        }
-        let text = std::fs::read_to_string(&path)?;
-        let lines: Vec<&str> = text.split('\n').collect();
-        let mut good_bytes = 0u64;
-        for (li, line) in lines.iter().enumerate() {
-            if line.trim().is_empty() {
-                good_bytes += line.len() as u64 + 1;
-                continue;
-            }
-            let torn_tail = li + 1 == lines.len(); // no trailing '\n': torn write
-            match parse_json(line).and_then(|v| v.get("job")?.usize()) {
-                Ok(id) if id < self.manifest.total_jobs => {
-                    if !self.completed.insert(id) {
-                        return Err(bad_data(format!(
-                            "job {id} has more than one record in {} (line {}) — the \
-                             store has been corrupted or merged with itself",
-                            path.display(),
-                            li + 1
-                        )));
-                    }
-                    if torn_tail {
-                        // The record is complete but the kill landed
-                        // between its bytes and the newline: restore the
-                        // terminator so the next append starts on a
-                        // fresh line instead of gluing onto this one.
-                        OpenOptions::new().append(true).open(&path)?.write_all(b"\n")?;
-                    }
-                    good_bytes += line.len() as u64 + 1;
-                }
-                Ok(id) => {
-                    return Err(bad_data(format!(
-                        "record for job {id} out of range ({} total)",
-                        self.manifest.total_jobs
-                    )))
-                }
-                Err(e) if torn_tail => {
-                    // The killed writer's half-written last line: chop it
-                    // off so the job re-runs and re-appends cleanly.
-                    let _ = e;
-                    OpenOptions::new().write(true).open(&path)?.set_len(good_bytes)?;
-                }
-                Err(e) => {
-                    return Err(bad_data(format!(
-                        "corrupt record line {} in {}: {e}",
-                        li + 1,
-                        path.display()
-                    )))
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Re-scans `failures.jsonl` for contained job failures. The file
-    /// is an append-only log: a job may appear several times across
-    /// interrupted runs (the last entry wins), and entries for jobs
-    /// that have since completed are stale and dropped. Like the record
-    /// scan, an unparsable *final* line is the torn tail of a killed
-    /// writer and is truncated away; earlier corruption is an error.
-    fn scan_failures(&mut self) -> io::Result<()> {
-        self.failures.clear();
-        let path = self.dir.join(FAILURES_FILE);
-        if !path.exists() {
-            return Ok(());
-        }
-        let text = std::fs::read_to_string(&path)?;
-        let lines: Vec<&str> = text.split('\n').collect();
-        let mut good_bytes = 0u64;
-        for (li, line) in lines.iter().enumerate() {
-            if line.trim().is_empty() {
-                good_bytes += line.len() as u64 + 1;
-                continue;
-            }
-            let torn_tail = li + 1 == lines.len();
-            let parsed = parse_json(line).and_then(|v| {
-                Ok(JobFailure {
-                    job_id: v.get("job")?.usize()?,
-                    attempts: v.get("attempts")?.u64()? as u32,
-                    cause: v.get("cause")?.str()?.to_owned(),
-                })
-            });
-            match parsed {
-                Ok(f) => {
-                    if torn_tail {
-                        // Complete entry, missing only its newline:
-                        // restore the terminator so the next append
-                        // starts on a fresh line.
-                        OpenOptions::new().append(true).open(&path)?.write_all(b"\n")?;
-                    }
-                    self.failures.insert(f.job_id, f);
-                    good_bytes += line.len() as u64 + 1;
-                }
-                Err(_) if torn_tail => {
-                    OpenOptions::new().write(true).open(&path)?.set_len(good_bytes)?;
-                }
-                Err(e) => {
-                    return Err(bad_data(format!(
-                        "corrupt failure line {} in {}: {e}",
-                        li + 1,
-                        path.display()
-                    )))
-                }
-            }
-        }
-        let completed = &self.completed;
-        self.failures.retain(|id, _| !completed.contains(id));
-        Ok(())
     }
 
     /// This shard's jobs that still lack a durable record, in job order.
@@ -861,17 +771,8 @@ impl ResultStore {
             .iter()
             .next_back()
             .is_some_and(|max| todo.first().is_some_and(|j| j.index < *max));
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.dir.join(RECORDS_FILE))?;
-        // The last byte offset known to end on a complete record: a
-        // failed append truncates back here before any retry, so a
-        // partial write can never corrupt an interior line.
-        let mut good_len = file.metadata()?.len();
-        let failures_path = self.dir.join(FAILURES_FILE);
-        // Opened lazily: a fault-free campaign never creates the file.
-        let mut failures_file: Option<File> = None;
+        let records = &mut self.records;
+        let failure_log = &mut self.failure_log;
         let completed = &mut self.completed;
         let failures = &mut self.failures;
         let mut line = String::new();
@@ -889,7 +790,7 @@ impl ResultStore {
             let id = todo[i].index;
             line.clear();
             record_line_into(&mut line, id, record);
-            append_durable(&mut file, &mut good_len, line.as_bytes(), &opts.policy)?;
+            records.append(line.as_bytes(), &opts.policy)?;
             // Chaos hook: a kill landing *between* the durable
             // record and the bookkeeping that follows it.
             eend_fail::io_guard_at("store.bookkeep", id as u64)?;
@@ -899,23 +800,9 @@ impl ResultStore {
             cancel_after(&cancelled)
         };
         let mut on_failure = |f: &JobFailure| {
-            let fw = match failures_file.as_mut() {
-                Some(fw) => fw,
-                None => failures_file.insert(
-                    OpenOptions::new().create(true).append(true).open(&failures_path)?,
-                ),
-            };
-            // Failures are rare: a fresh buffer beats sharing the
-            // record buffer across both closures.
-            let mut fl = String::new();
-            let _ = writeln!(
-                fl,
-                "{{\"job\":{},\"attempts\":{},\"cause\":{}}}",
-                f.job_id,
-                f.attempts,
-                json_str(&f.cause)
-            );
-            fw.write_all(fl.as_bytes())?;
+            // The journal creates the file on first append: a
+            // fault-free campaign never has one.
+            failure_log.append(failure_line(f).as_bytes(), &opts.policy)?;
             failures.insert(f.job_id, f.clone());
             failed += 1;
             cancel_after(&cancelled)
@@ -931,7 +818,6 @@ impl ResultStore {
         // one leaves a stale failure entry; prune as open() would.
         let completed = &self.completed;
         self.failures.retain(|id, _| !completed.contains(id));
-        drop(file);
         if fills_gap && ran > 0 && (result.is_ok() || cancelled.get()) {
             self.compact_records()?;
         }
@@ -946,82 +832,19 @@ impl ResultStore {
     /// temp + rename). Only needed after a run that filled a gap left
     /// by an earlier session's contained failure; fault-free stores are
     /// always appended in order and never pay this.
-    fn compact_records(&self) -> io::Result<()> {
-        let path = self.dir.join(RECORDS_FILE);
-        let text = std::fs::read_to_string(&path)?;
-        let mut entries: Vec<(usize, &str)> = Vec::new();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            entries.push((parse_json(line)?.get("job")?.usize()?, line));
+    fn compact_records(&mut self) -> io::Result<()> {
+        let mut lines = Journal::read(self.records.path())?;
+        let mut entries = Vec::new();
+        while let Some(entry) = lines.next(|l| Ok((record_id(l)?, l.to_owned())))? {
+            entries.push(entry);
         }
         entries.sort_by_key(|(id, _)| *id);
-        let mut out = String::with_capacity(text.len());
+        let mut out = String::new();
         for (_, line) in entries {
-            out.push_str(line);
+            out.push_str(&line);
             out.push('\n');
         }
-        write_atomic(&path, out.as_bytes())
-    }
-
-    /// Loads every durable record's metrics, keyed by global job id.
-    /// When `verify_against` is given (the full expansion), each
-    /// record's stored stack name and seed are cross-checked against the
-    /// job it claims to be.
-    ///
-    /// A parse failure is tolerated only on the file's final line — the
-    /// newline-less footprint of a killed writer. Corruption anywhere
-    /// else is an error naming the line: silently skipping an interior
-    /// line would drop a completed job, and a subsequent resume would
-    /// re-run it and append a duplicate. Duplicate job ids are refused
-    /// for the same reason — last-wins would silently hide whichever
-    /// record lost.
-    pub fn load_metrics(
-        &self,
-        verify_against: Option<&[Job]>,
-    ) -> io::Result<BTreeMap<usize, RunMetrics>> {
-        let mut out = BTreeMap::new();
-        let path = self.dir.join(RECORDS_FILE);
-        if !path.exists() {
-            return Ok(out);
-        }
-        let text = std::fs::read_to_string(&path)?;
-        let lines: Vec<&str> = text.split('\n').collect();
-        for (li, line) in lines.iter().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let v = match parse_json(line) {
-                Ok(v) => v,
-                // Only the last element of split('\n') can lack a
-                // trailing newline — the torn tail of a killed writer.
-                Err(_) if li + 1 == lines.len() => continue,
-                Err(e) => {
-                    return Err(bad_data(format!(
-                        "corrupt record line {} in {}: {e}",
-                        li + 1,
-                        path.display()
-                    )))
-                }
-            };
-            let id = v.get("job")?.usize()?;
-            if let Some(jobs) = verify_against {
-                let job = jobs.get(id).ok_or_else(|| {
-                    bad_data(format!("record for job {id} out of range ({} jobs)", jobs.len()))
-                })?;
-                verify_line_identity(&v, job)?;
-            }
-            let metrics = metrics_from_json(v.get("metrics")?)?;
-            if out.insert(id, metrics).is_some() {
-                return Err(bad_data(format!(
-                    "job {id} has more than one record in {} (line {})",
-                    path.display(),
-                    li + 1
-                )));
-            }
-        }
-        Ok(out)
+        self.records.replace(out.as_bytes())
     }
 
     /// Reassembles this (unsharded) store into a [`CampaignResult`] —
@@ -1074,43 +897,6 @@ fn read_manifest(path: &Path) -> io::Result<Manifest> {
             path.display()
         ))
     })
-}
-
-/// Appends one pre-rendered record line, retrying transient write
-/// errors when `policy` allows and truncating the file back to
-/// `good_len` before every retry so a partial append never corrupts an
-/// interior line (the resume scan refuses interior corruption).
-/// Failpoint: `store.flush`, hit-counted per append attempt.
-fn append_durable(
-    file: &mut File,
-    good_len: &mut u64,
-    bytes: &[u8],
-    policy: &FailurePolicy,
-) -> io::Result<()> {
-    let attempts = policy.attempts();
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        let res = eend_fail::io_guard("store.flush").and_then(|()| file.write_all(bytes));
-        match res {
-            Ok(()) => {
-                *good_len += bytes.len() as u64;
-                return Ok(());
-            }
-            Err(e) => {
-                // Roll back whatever partial bytes the failed attempt
-                // may have landed.
-                file.set_len(*good_len)?;
-                if attempt >= attempts {
-                    return Err(e);
-                }
-                let delay = policy.backoff_delay(attempt);
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-            }
-        }
-    }
 }
 
 /// Merges shard stores back into one in-order [`CampaignResult`].
@@ -1207,7 +993,7 @@ pub fn merge_stores_streaming(
         if let Some((id, _)) = &c.head {
             return Err(bad_data(format!(
                 "record for job {id} in {} is outside the merged expansion ({} jobs)",
-                c.path.display(),
+                c.lines.path().display(),
                 jobs.len()
             )));
         }
@@ -1217,68 +1003,38 @@ pub fn merge_stores_streaming(
 
 /// A sequential, constant-memory reader over one store's record lines:
 /// holds only the current parsed record, enforcing strictly ascending
-/// job ids (the order [`ResultStore::run`] appends). A parse failure on
-/// the final, newline-less line is the torn tail of a killed writer and
-/// reads as end-of-file; anywhere else it is an error naming the line.
+/// job ids (the order [`ResultStore::run`] appends). A torn final line
+/// reads as end-of-file, as for any [`Journal`] reader.
 struct RecordCursor {
-    reader: Option<BufReader<File>>,
-    path: PathBuf,
-    line_no: usize,
+    lines: JournalReader,
     last_id: Option<usize>,
     head: Option<(usize, JVal)>,
-    buf: String,
 }
 
 impl RecordCursor {
     fn open(store: &ResultStore) -> io::Result<RecordCursor> {
-        let path = store.dir.join(RECORDS_FILE);
-        let reader = if path.exists() { Some(BufReader::new(File::open(&path)?)) } else { None };
-        Ok(RecordCursor { reader, path, line_no: 0, last_id: None, head: None, buf: String::new() })
+        Ok(RecordCursor { lines: Journal::read(store.records.path())?, last_id: None, head: None })
     }
 
     /// Reads the next record line into `head`, or leaves it `None` at
-    /// end-of-file (a torn final line counts as end-of-file).
+    /// end-of-file.
     fn advance(&mut self) -> io::Result<()> {
-        self.head = None;
-        let Some(reader) = self.reader.as_mut() else { return Ok(()) };
-        loop {
-            self.buf.clear();
-            if reader.read_line(&mut self.buf)? == 0 {
-                return Ok(());
-            }
-            self.line_no += 1;
-            let torn_tail = !self.buf.ends_with('\n');
-            let line = self.buf.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let v = match parse_json(line) {
-                Ok(v) => v,
-                Err(_) if torn_tail => return Ok(()),
-                Err(e) => {
-                    return Err(bad_data(format!(
-                        "corrupt record line {} in {}: {e}",
-                        self.line_no,
-                        self.path.display()
-                    )))
-                }
-            };
-            let id = v.get("job")?.usize()?;
-            if let Some(last) = self.last_id {
-                if id <= last {
-                    return Err(bad_data(format!(
-                        "job {id} follows job {last} in {} (line {}) — records must \
-                         strictly ascend within a store, so this line is a duplicate \
-                         or the file has been reordered",
-                        self.path.display(),
-                        self.line_no
-                    )));
-                }
-            }
-            self.last_id = Some(id);
-            self.head = Some((id, v));
-            return Ok(());
+        self.head = self.lines.next(|l| {
+            let v = parse_json(l)?;
+            Ok((v.get("job")?.usize()?, v))
+        })?;
+        let Some((id, _)) = self.head else { return Ok(()) };
+        if let Some(last) = self.last_id.filter(|&last| id <= last) {
+            return Err(bad_data(format!(
+                "job {id} follows job {last} in {} (line {}) — records must \
+                 strictly ascend within a store, so this line is a duplicate \
+                 or the file has been reordered",
+                self.lines.path().display(),
+                self.lines.line_no()
+            )));
         }
+        self.last_id = Some(id);
+        Ok(())
     }
 }
 
@@ -1396,6 +1152,31 @@ fn record_line_into(out: &mut String, id: usize, record: &Record) {
         }
     }
     out.push_str("]}}\n");
+}
+
+/// The job id of one `records.jsonl` line (the journal decoder).
+fn record_id(line: &str) -> io::Result<usize> {
+    parse_json(line)?.get("job")?.usize()
+}
+
+/// Renders one `failures.jsonl` line.
+fn failure_line(f: &JobFailure) -> String {
+    format!(
+        "{{\"job\":{},\"attempts\":{},\"cause\":{}}}\n",
+        f.job_id,
+        f.attempts,
+        json_str(&f.cause)
+    )
+}
+
+/// Decodes one `failures.jsonl` line.
+fn failure_from_line(line: &str) -> io::Result<JobFailure> {
+    let v = parse_json(line)?;
+    Ok(JobFailure {
+        job_id: v.get("job")?.usize()?,
+        attempts: v.get("attempts")?.u64()? as u32,
+        cause: v.get("cause")?.str()?.to_owned(),
+    })
 }
 
 pub(crate) fn metrics_from_json(v: &JVal) -> io::Result<RunMetrics> {
@@ -1541,7 +1322,7 @@ impl JVal {
 /// Parses one complete JSON document (with nothing but whitespace
 /// after it).
 pub(crate) fn parse_json(text: &str) -> io::Result<JVal> {
-    let mut p = JsonParser { s: text.as_bytes(), i: 0 };
+    let mut p = JsonParser { s: text, i: 0 };
     let v = p.value()?;
     p.skip_ws();
     if p.i != p.s.len() {
@@ -1550,20 +1331,22 @@ pub(crate) fn parse_json(text: &str) -> io::Result<JVal> {
     Ok(v)
 }
 
+/// Walks `s` by byte; `i` only ever rests on a char boundary, because it
+/// advances over ASCII bytes or over whole unescaped runs of a string.
 struct JsonParser<'a> {
-    s: &'a [u8],
+    s: &'a str,
     i: usize,
 }
 
 impl JsonParser<'_> {
     fn skip_ws(&mut self) {
-        while self.i < self.s.len() && matches!(self.s[self.i], b' ' | b'\t' | b'\n' | b'\r') {
+        while matches!(self.s.as_bytes().get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.i += 1;
         }
     }
 
     fn peek(&self) -> io::Result<u8> {
-        self.s.get(self.i).copied().ok_or_else(|| bad_data("unexpected end of JSON"))
+        self.s.as_bytes().get(self.i).copied().ok_or_else(|| bad_data("unexpected end of JSON"))
     }
 
     fn eat(&mut self, b: u8) -> io::Result<()> {
@@ -1579,7 +1362,7 @@ impl JsonParser<'_> {
     }
 
     fn lit(&mut self, word: &str, v: JVal) -> io::Result<JVal> {
-        if self.s[self.i..].starts_with(word.as_bytes()) {
+        if self.s[self.i..].starts_with(word) {
             self.i += word.len();
             Ok(v)
         } else {
@@ -1642,13 +1425,13 @@ impl JsonParser<'_> {
             }
             c if c == b'-' || c.is_ascii_digit() => {
                 let start = self.i;
-                while self.i < self.s.len()
-                    && matches!(self.s[self.i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                {
+                while matches!(
+                    self.s.as_bytes().get(self.i),
+                    Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+                ) {
                     self.i += 1;
                 }
-                let raw = std::str::from_utf8(&self.s[start..self.i])
-                    .map_err(|_| bad_data("non-UTF8 number"))?;
+                let raw = &self.s[start..self.i];
                 // Validate now so accessors can't hit un-number tokens.
                 raw.parse::<f64>().map_err(|_| bad_data(format!("bad number {raw:?}")))?;
                 Ok(JVal::Num(raw.to_owned()))
@@ -1661,11 +1444,15 @@ impl JsonParser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            let c = self.peek()?;
-            self.i += 1;
-            match c {
+            // Copy the unescaped run up to the next quote or backslash
+            // (both ASCII, so the cut lands on a char boundary).
+            let rest = &self.s[self.i..];
+            let run = rest.find(['"', '\\']).ok_or_else(|| bad_data("unterminated string"))?;
+            out.push_str(&rest[..run]);
+            self.i += run + 1;
+            match rest.as_bytes()[run] {
                 b'"' => return Ok(out),
-                b'\\' => {
+                _ => {
                     let e = self.peek()?;
                     self.i += 1;
                     match e {
@@ -1678,11 +1465,10 @@ impl JsonParser<'_> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
-                            if self.i + 4 > self.s.len() {
-                                return Err(bad_data("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.s[self.i..self.i + 4])
-                                .map_err(|_| bad_data("bad \\u escape"))?;
+                            let hex = self
+                                .s
+                                .get(self.i..self.i + 4)
+                                .ok_or_else(|| bad_data("truncated \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| bad_data("bad \\u escape"))?;
                             self.i += 4;
@@ -1693,14 +1479,6 @@ impl JsonParser<'_> {
                         }
                         _ => return Err(bad_data(format!("bad escape \\{}", e as char))),
                     }
-                }
-                _ => {
-                    // Re-sync on UTF-8: walk back and take the full char.
-                    let rest = std::str::from_utf8(&self.s[self.i - 1..])
-                        .map_err(|_| bad_data("non-UTF8 string"))?;
-                    let ch = rest.chars().next().ok_or_else(|| bad_data("empty char"))?;
-                    self.i = self.i - 1 + ch.len_utf8();
-                    out.push(ch);
                 }
             }
         }
@@ -1883,6 +1661,114 @@ mod tests {
         let err = Manifest::from_json(v1).unwrap_err();
         assert!(err.to_string().contains("version 1"), "got: {err}");
         assert!(err.to_string().contains("not supported"), "got: {err}");
+    }
+
+    /// One real record line (without its `\n`) from a short small-network
+    /// run, its traffic label swapped for multi-byte UTF-8.
+    fn sample_record_line() -> &'static str {
+        static LINE: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+        LINE.get_or_init(|| {
+            use crate::{BaseScenario, CampaignSpec, Executor};
+            let spec = CampaignSpec::new("fuzz", BaseScenario::Small)
+                .stacks(vec![eend_wireless::stacks::titan_pc()])
+                .rates(vec![4.0])
+                .seeds(1)
+                .secs(20);
+            let jobs = spec.expand();
+            let mut record = Executor::with_workers(1).run_jobs(&jobs).remove(0);
+            record.point.traffic = "é — 日本".to_owned();
+            let mut line = String::new();
+            record_line_into(&mut line, 3, &record);
+            line.truncate(line.len() - 1);
+            line
+        })
+    }
+
+    /// Every char-boundary cut of `line` shorter than the whole.
+    fn proper_prefixes(line: &str) -> impl Iterator<Item = &str> {
+        (0..line.len()).filter(|&k| line.is_char_boundary(k)).map(move |k| &line[..k])
+    }
+
+    #[test]
+    fn no_proper_prefix_of_a_record_or_failure_line_decodes() {
+        let line = sample_record_line();
+        assert_eq!(record_id(line).unwrap(), 3);
+        for prefix in proper_prefixes(line) {
+            assert!(record_id(prefix).is_err(), "record prefix decoded: {prefix:?}");
+        }
+        let f = JobFailure { job_id: 4, attempts: 2, cause: "é — 日本 \"quoted\"".to_owned() };
+        let rendered = failure_line(&f);
+        let line = rendered.trim_end_matches('\n');
+        assert_eq!(failure_from_line(line).unwrap(), f);
+        for prefix in proper_prefixes(line) {
+            assert!(failure_from_line(prefix).is_err(), "failure prefix decoded: {prefix:?}");
+        }
+    }
+
+    #[test]
+    fn non_ascii_failure_cause_round_trips_across_a_reopen() {
+        use crate::{BaseScenario, CampaignSpec};
+        let spec = CampaignSpec::new("utf8", BaseScenario::Small)
+            .stacks(vec![eend_wireless::stacks::titan_pc()])
+            .rates(vec![4.0])
+            .seeds(2)
+            .secs(20);
+        let dir = std::env::temp_dir().join(format!("eend-store-utf8-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let failure = JobFailure { job_id: 1, attempts: 3, cause: "é — 日本".to_owned() };
+        {
+            let mut store = ResultStore::open(&dir, Manifest::for_spec(&spec, 0, 1)).unwrap();
+            let line = failure_line(&failure);
+            store.failure_log.append(line.as_bytes(), &FailurePolicy::Abort).unwrap();
+        }
+        let store = ResultStore::open(&dir, Manifest::for_spec(&spec, 0, 1)).unwrap();
+        assert_eq!(store.failures().get(&1), Some(&failure));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Openers that put the parser inside an object key, a string or an
+    /// array before the random pieces start.
+    const JSON_OPENERS: &[&str] = &["", "\"", "{\"", "[\""];
+
+    /// Pieces that stress the parser: structure, escapes (lone `\` and
+    /// short `\u`), numbers, literals and multi-byte UTF-8.
+    #[rustfmt::skip]
+    const JSON_PIECES: &[&str] = &[
+        "{", "}", "[", "]", "\"", ":", ",", " ", "\\", "\\u", "\\u0", "\\u00", "\\u00e9",
+        "\\ud800", "\\n", "0", "-", "1.5e-3", "e", "+", ".", "null", "nul", "true", "fals", "é",
+        "日本", "—", "\u{1f600}", "\"job\"", "\u{0}",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parse_json_never_panics_on_arbitrary_text(
+            opener in 0..JSON_OPENERS.len(),
+            picks in proptest::collection::vec(0..JSON_PIECES.len(), 0..24),
+        ) {
+            let text: String = std::iter::once(JSON_OPENERS[opener])
+                .chain(picks.iter().map(|&i| JSON_PIECES[i]))
+                .collect();
+            if let Err(e) = parse_json(&text) {
+                proptest::prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            }
+        }
+
+        #[test]
+        fn parse_json_never_panics_on_a_mutated_record_line(
+            edits in proptest::collection::vec((0usize..1 << 20, 0u16..256), 1..4),
+        ) {
+            let mut bytes = sample_record_line().as_bytes().to_vec();
+            for &(at, b) in &edits {
+                let at = at % bytes.len();
+                bytes[at] = b as u8;
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            if let Err(e) = parse_json(&text) {
+                proptest::prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            }
+        }
     }
 
     #[test]

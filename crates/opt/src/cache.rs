@@ -1,17 +1,21 @@
-//! The on-disk evaluation cache: a `ResultStore`-style JSONL append log
+//! The on-disk evaluation cache: an append-only [`Journal`] of scores
 //! keyed by design fingerprint.
 //!
 //! Every score's floats are stored as exact bit patterns (`f64::to_bits`
 //! hex) alongside a human-readable rendering, so a cached search replays
 //! **byte-identically**: the trace a resumed search writes is
-//! indistinguishable from the original's. Like the campaign stores, a torn
-//! final line (crash mid-append) is tolerated; interior corruption is an
-//! error.
+//! indistinguishable from the original's. A torn final line (crash
+//! mid-append) is truncated away and its design evaluated again; interior
+//! corruption is an error. A final line that lost only its `\n` is kept
+//! and re-terminated: the decoder accepts nothing but the exact layout
+//! `render_line` writes, so no proper prefix of a line decodes.
 
 use std::collections::HashMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
+
+use eend_campaign::{FailurePolicy, Journal};
 
 use crate::fingerprint::design_fingerprint;
 use crate::oracle::{EvalOracle, Score};
@@ -25,7 +29,7 @@ const MANIFEST_FILE: &str = "manifest.json";
 #[derive(Debug)]
 pub struct EvalCache {
     dir: PathBuf,
-    file: File,
+    journal: Journal,
     map: HashMap<u64, Score>,
 }
 
@@ -33,31 +37,52 @@ fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Pulls the string value of `"key":"…"` out of a JSON line we wrote
-/// ourselves (no escapes in our fields).
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":\"");
-    let start = line.find(&tag)? + tag.len();
-    let end = line[start..].find('"')? + start;
-    Some(&line[start..end])
+/// Splits `"key":"value",` off the front of `rest`.
+fn take<'a>(rest: &'a str, key: &str) -> Option<(&'a str, &'a str)> {
+    let rest = rest.strip_prefix('"')?.strip_prefix(key)?.strip_prefix("\":\"")?;
+    let (value, rest) = rest.split_once('"')?;
+    Some((value, rest.strip_prefix(',')?))
 }
 
-fn hex_field(line: &str, key: &str) -> Option<u64> {
-    u64::from_str_radix(field(line, key)?, 16).ok()
+/// Sixteen lowercase hex digits, as `{:016x}` writes them.
+fn hex(s: &str) -> Option<u64> {
+    let lower = s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    if s.len() == 16 && lower {
+        u64::from_str_radix(s, 16).ok()
+    } else {
+        None
+    }
 }
 
-fn parse_line(line: &str) -> Option<(u64, Score)> {
-    let fp = hex_field(line, "fp")?;
-    let enetwork_j = f64::from_bits(hex_field(line, "enetwork_b")?);
-    let delivered_bits = f64::from_bits(hex_field(line, "delivered_b")?);
-    let ttfd_s = f64::from_bits(hex_field(line, "ttfd_b")?);
-    let overloaded = match field(line, "overloaded")? {
-        "t" => true,
-        "f" => false,
-        _ => return None,
+/// Decodes one line in exactly the layout [`render_line`] writes (minus
+/// its `\n`). Every proper prefix fails: the closing `}` is required.
+fn decode_line(line: &str) -> io::Result<(u64, Score)> {
+    let decode = || {
+        let (fp, r) = take(line.strip_prefix('{')?, "fp")?;
+        let (enetwork, r) = take(r, "enetwork_b")?;
+        let (delivered, r) = take(r, "delivered_b")?;
+        let (ttfd, r) = take(r, "ttfd_b")?;
+        let (overloaded, r) = take(r, "overloaded")?;
+        let (unrouted, r) = take(r, "unrouted")?;
+        let readable = r.strip_prefix("\"enetwork_j\":")?.strip_suffix('}')?;
+        readable.parse::<f64>().ok()?;
+        if !unrouted.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        let score = Score {
+            enetwork_j: f64::from_bits(hex(enetwork)?),
+            delivered_bits: f64::from_bits(hex(delivered)?),
+            ttfd_s: f64::from_bits(hex(ttfd)?),
+            overloaded: match overloaded {
+                "t" => true,
+                "f" => false,
+                _ => return None,
+            },
+            unrouted: unrouted.parse().ok()?,
+        };
+        Some((hex(fp)?, score))
     };
-    let unrouted: u32 = field(line, "unrouted")?.parse().ok()?;
-    Some((fp, Score { enetwork_j, delivered_bits, ttfd_s, overloaded, unrouted }))
+    decode().ok_or_else(|| invalid("not an eval cache line".to_owned()))
 }
 
 fn render_line(fp: u64, s: &Score) -> String {
@@ -86,8 +111,7 @@ impl EvalCache {
     /// # Errors
     ///
     /// I/O failures, a manifest mismatch, or interior corruption of the
-    /// eval log (a torn final line is tolerated and truncated away on the
-    /// next append).
+    /// eval log (a torn final line is tolerated and truncated away).
     pub fn open(dir: &Path, oracle_label: &str, problem_fp: u64) -> io::Result<EvalCache> {
         fs::create_dir_all(dir)?;
         let manifest = format!(
@@ -111,40 +135,12 @@ impl EvalCache {
             Err(e) => return Err(e),
         }
 
-        let evals_path = dir.join(EVALS_FILE);
         let mut map = HashMap::new();
-        let mut keep_bytes = 0usize;
-        match fs::read_to_string(&evals_path) {
-            Ok(body) => {
-                let lines: Vec<&str> = body.split_inclusive('\n').collect();
-                for (i, line) in lines.iter().enumerate() {
-                    let complete = line.ends_with('\n');
-                    match parse_line(line) {
-                        Some((fp, score)) if complete => {
-                            map.insert(fp, score);
-                            keep_bytes += line.len();
-                        }
-                        _ if i + 1 == lines.len() => break, // torn tail: drop it
-                        _ => {
-                            return Err(invalid(format!(
-                                "corrupt eval cache {} at line {}",
-                                evals_path.display(),
-                                i + 1
-                            )))
-                        }
-                    }
-                }
-                if keep_bytes < body.len() {
-                    // Truncate the torn tail so the next append starts clean.
-                    let f = OpenOptions::new().write(true).open(&evals_path)?;
-                    f.set_len(keep_bytes as u64)?;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        let file = OpenOptions::new().create(true).append(true).open(&evals_path)?;
-        Ok(EvalCache { dir: dir.to_path_buf(), file, map })
+        let journal = Journal::open(dir.join(EVALS_FILE), None, decode_line, |(fp, score), _| {
+            map.insert(fp, score);
+            Ok(())
+        })?;
+        Ok(EvalCache { dir: dir.to_path_buf(), journal, map })
     }
 
     /// The cache directory.
@@ -176,8 +172,7 @@ impl EvalCache {
         if self.map.contains_key(&fp) {
             return Ok(());
         }
-        self.file.write_all(render_line(fp, &score).as_bytes())?;
-        self.file.flush()?;
+        self.journal.append(render_line(fp, &score).as_bytes(), &FailurePolicy::Abort)?;
         self.map.insert(fp, score);
         Ok(())
     }
@@ -337,6 +332,51 @@ mod tests {
         fs::write(&path, format!("garbage\n{}", render_line(3, &score))).unwrap();
         assert!(EvalCache::open(&dir, "o", 1).is_err());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn keeps_a_complete_final_line_that_lost_its_newline() {
+        let dir = tempdir("unterminated");
+        let score = Score {
+            enetwork_j: 2.5,
+            delivered_bits: 100.0,
+            ttfd_s: 10.0,
+            overloaded: false,
+            unrouted: 0,
+        };
+        {
+            let mut c = EvalCache::open(&dir, "o", 1).unwrap();
+            c.insert(1, score).unwrap();
+            c.insert(2, score).unwrap();
+        }
+        let path = dir.join(EVALS_FILE);
+        let body = fs::read_to_string(&path).unwrap();
+        fs::write(&path, body.trim_end_matches('\n')).unwrap();
+        let mut c = EvalCache::open(&dir, "o", 1).unwrap();
+        assert_eq!(c.len(), 2, "the unterminated line is complete and kept");
+        assert_eq!(fs::read_to_string(&path).unwrap(), body, "its newline is restored");
+        c.insert(3, score).unwrap();
+        assert_eq!(EvalCache::open(&dir, "o", 1).unwrap().len(), 3);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn no_proper_prefix_of_a_cache_line_decodes() {
+        let score = Score {
+            enetwork_j: 1.0 / 3.0,
+            delivered_bits: 8.1e6,
+            ttfd_s: f64::INFINITY,
+            overloaded: true,
+            unrouted: 12,
+        };
+        let rendered = render_line(0xdead_beef, &score);
+        let line = rendered.trim_end_matches('\n');
+        let (fp, back) = decode_line(line).unwrap();
+        assert_eq!(fp, 0xdead_beef);
+        assert_eq!(back, score);
+        for k in 0..line.len() {
+            assert!(decode_line(&line[..k]).is_err(), "prefix decoded: {:?}", &line[..k]);
+        }
     }
 
     #[test]
