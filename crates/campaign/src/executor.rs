@@ -1,33 +1,49 @@
-//! Bounded parallel executor with a streaming output path.
+//! Campaign scheduling: one claim-gated reorder core under two schedulers.
 //!
-//! A fixed pool of scoped worker threads — capped at
-//! `std::thread::available_parallelism` — pulls job indices from a shared
-//! atomic counter (self-scheduling, so an unlucky long job never stalls
-//! the queue behind it). Every job is an independent, deterministic
-//! simulation, and results are emitted in job-index order, so the output
-//! is byte-identical for any worker count — the property the
-//! parallel-equals-serial regression test pins.
+//! Every job is an independent, deterministic simulation, and results
+//! reach the consumer in job-index order on the consumer's own thread,
+//! so output is byte-identical for any worker count and any
+//! interleaving of concurrent campaigns — the property the
+//! parallel-equals-serial and concurrent-identity tests pin.
 //!
-//! Emission is *streaming*: [`Executor::par_stream`] hands each result
-//! to a consumer callback as soon as it becomes the next in-order index,
-//! holding out-of-order completions in a reorder buffer whose size is
-//! bounded by a claim gate — a worker may only claim job `i` once
-//! `i < emitted + window`, so at most `window + workers` results ever
-//! exist outside the consumer. Peak memory of a streamed campaign is
-//! therefore O(reorder window), not O(jobs). [`Executor::run_streaming`]
-//! layers [`crate::sink::RecordSink`]s on top;
-//! [`Executor::run_jobs`]/[`Executor::par_map`] are the collect-everything
-//! conveniences, built on the same core.
+//! The scheduling core is private to this module and has four parts:
+//!
+//! - **The claim gate.** A *task* is one job stream with a claim cursor
+//!   and an emission cursor. Its next job may start only while
+//!   `next_claim < emitted + window`, so at most `window + workers`
+//!   results ever exist outside the consumer: a streamed campaign holds
+//!   O(window) records in memory, not O(jobs).
+//! - **The worker loop.** Workers claim one job at a time, round-robin
+//!   across registered tasks, and catch the job's unwind exactly once:
+//!   the value or the panic payload travels back to the task's consumer
+//!   as data, so no worker ever dies or strands a sibling in the gate.
+//! - **The in-order drain.** On the consumer's thread, a `BTreeMap`
+//!   reorder buffer emits the contiguous prefix, advances `emitted` and
+//!   wakes the workers. A job that panicked under
+//!   [`FailurePolicy::Abort`] is re-raised there, in order, with its
+//!   original payload.
+//! - **The task guard.** Dropping it deregisters the task and wakes its
+//!   workers, on every exit of the drain: normal return, callback error
+//!   or panic.
+//!
+//! [`WorkerPool`] runs the worker loop on long-lived threads shared by
+//! every active campaign. [`Executor`] is a thin wrapper: one task on
+//! `min(workers, n)` scoped threads that leave once it is gone, or, with
+//! a single worker, a plain loop on the calling thread (the serial
+//! reference). Both implement [`JobScheduler`], the seam the result
+//! store runs on; the other entry points are [`Executor::par_map`],
+//! [`Executor::run_streaming`], [`Executor::run_jobs`] and
+//! [`Executor::run`].
 
 use crate::report::{CampaignResult, Record};
-use crate::sink::{MemorySink, RecordSink};
+use crate::sink::RecordSink;
 use crate::spec::Job;
 use eend_wireless::Simulator;
 use std::collections::BTreeMap;
+use std::io;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Deterministic exponential backoff between retry attempts:
@@ -183,35 +199,34 @@ pub fn panic_cause(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one job under a containment policy: `catch_unwind` around the
-/// simulation, retry loop with deterministic backoff, structured failure
-/// when attempts run out. Under [`FailurePolicy::Abort`] the original
-/// panic is re-raised untouched, preserving the executor's historical
-/// panic-propagation semantics byte for byte.
+/// Simulates one job. Chaos hook `job.run` matches on the *global* job
+/// index, so it fires on the same logical job under any worker count.
+fn run_job(job: &Job) -> Record {
+    if eend_fail::hit_at("job.run", job.index as u64).is_some() {
+        panic!("failpoint job.run fired (job {})", job.index);
+    }
+    Record { point: job.point.clone(), metrics: Simulator::new(&job.scenario).run() }
+}
+
+/// Runs one job under a containment policy: `catch_unwind` around each
+/// attempt, deterministic backoff between attempts, a structured
+/// failure when attempts run out. Under [`FailurePolicy::Abort`] nothing
+/// is caught here: the panic unwinds to the scheduler, which re-raises
+/// its original payload on the consumer's thread.
 fn run_job_contained(job: &Job, policy: &FailurePolicy) -> JobOutcome {
+    if *policy == FailurePolicy::Abort {
+        return JobOutcome::Done(Box::new(run_job(job)));
+    }
     let attempts = policy.attempts();
     let mut cause = String::new();
     for attempt in 1..=attempts {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            // Chaos hook: matches on the *global* job index, so it fires
-            // on the same logical job under any worker count.
-            if eend_fail::hit_at("job.run", job.index as u64).is_some() {
-                panic!("failpoint job.run fired (job {})", job.index);
-            }
-            Record { point: job.point.clone(), metrics: Simulator::new(&job.scenario).run() }
-        }));
-        match result {
+        match catch_unwind(AssertUnwindSafe(|| run_job(job))) {
             Ok(record) => return JobOutcome::Done(Box::new(record)),
             Err(payload) => {
-                if matches!(policy, FailurePolicy::Abort) {
-                    resume_unwind(payload);
-                }
                 cause = panic_cause(payload.as_ref());
-                if attempt < attempts {
-                    let delay = policy.backoff_delay(attempt);
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
+                let delay = policy.backoff_delay(attempt);
+                if attempt < attempts && !delay.is_zero() {
+                    std::thread::sleep(delay);
                 }
             }
         }
@@ -219,7 +234,192 @@ fn run_job_contained(job: &Job, policy: &FailurePolicy) -> JobOutcome {
     JobOutcome::Failed(JobFailure { job_id: job.index, attempts, cause })
 }
 
-/// A bounded worker pool for campaign jobs.
+/// Hands one job's outcome to the matching
+/// [`JobScheduler::run_jobs_streaming`] callback.
+fn deliver(
+    i: usize,
+    outcome: JobOutcome,
+    on_record: &mut dyn FnMut(usize, &Record) -> io::Result<()>,
+    on_failure: &mut dyn FnMut(&JobFailure) -> io::Result<()>,
+) -> io::Result<()> {
+    match outcome {
+        JobOutcome::Done(record) => on_record(i, &record),
+        JobOutcome::Failed(failure) => on_failure(&failure),
+    }
+}
+
+// ---------------------------------------------------------------------
+// The scheduling core.
+
+/// The streaming reorder window for `workers` workers: deep enough that
+/// a straggler never idles the pool, shallow enough that buffered
+/// results stay O(workers).
+fn reorder_window(workers: usize) -> usize {
+    4 * workers
+}
+
+/// What a worker sends its task's consumer: the job index and the
+/// job's value, or the payload of the panic that unwound it.
+type Finished<T> = (usize, std::thread::Result<T>);
+
+/// One registered job stream: `n` jobs computed by `run`, plus its
+/// claim and emission cursors. Guarded by the core's single mutex —
+/// claims and cursor advances are rare next to the jobs they schedule.
+struct Task<'a, T> {
+    id: u64,
+    n: usize,
+    run: Arc<dyn Fn(usize) -> T + Send + Sync + 'a>,
+    window: usize,
+    /// Next job index a worker may claim.
+    next_claim: usize,
+    /// The consumer's in-order emission cursor.
+    emitted: usize,
+    tx: mpsc::Sender<Finished<T>>,
+}
+
+impl<T> Task<'_, T> {
+    /// The claim gate.
+    fn claimable(&self) -> bool {
+        self.next_claim < self.n && self.next_claim < self.emitted + self.window
+    }
+}
+
+struct CoreState<'a, T> {
+    tasks: Vec<Task<'a, T>>,
+    /// Round-robin cursor: each claim starts scanning at the task after
+    /// the previously claimed one, so runnable tasks share the workers
+    /// per claim and a huge campaign cannot starve a small one.
+    rr: usize,
+    next_id: u64,
+    shutdown: bool,
+}
+
+struct Core<'a, T> {
+    state: Mutex<CoreState<'a, T>>,
+    /// Workers wait here when no task is claimable; notified on task
+    /// registration, emission-cursor advance, task removal, shutdown.
+    work_cv: Condvar,
+    /// Long-lived pool threads wait for the next task; an executor's
+    /// scoped threads leave as soon as no task is registered.
+    persistent: bool,
+}
+
+impl<'a, T: Send> Core<'a, T> {
+    fn new(persistent: bool) -> Core<'a, T> {
+        Core {
+            state: Mutex::new(CoreState { tasks: Vec::new(), rr: 0, next_id: 0, shutdown: false }),
+            work_cv: Condvar::new(),
+            persistent,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, CoreState<'a, T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Registers a task of `n` jobs and returns its guard, from which
+    /// the caller drains the results.
+    fn register(
+        &self,
+        n: usize,
+        window: usize,
+        run: Arc<dyn Fn(usize) -> T + Send + Sync + 'a>,
+    ) -> io::Result<TaskGuard<'_, 'a, T>> {
+        let (tx, rx) = mpsc::channel();
+        let mut s = self.lock();
+        if s.shutdown {
+            return Err(io::Error::other("worker pool is shut down"));
+        }
+        let id = s.next_id;
+        s.next_id += 1;
+        s.tasks.push(Task { id, n, run, window: window.max(1), next_claim: 0, emitted: 0, tx });
+        drop(s);
+        self.work_cv.notify_all();
+        Ok(TaskGuard { core: self, id, n, rx })
+    }
+
+    /// The worker loop.
+    fn work(&self) {
+        let mut s = self.lock();
+        loop {
+            if s.shutdown || (!self.persistent && s.tasks.is_empty()) {
+                return;
+            }
+            let len = s.tasks.len();
+            let Some(k) = (0..len).map(|off| (s.rr + off) % len).find(|&k| s.tasks[k].claimable())
+            else {
+                s = self.work_cv.wait(s).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            s.rr = (k + 1) % len;
+            let task = &mut s.tasks[k];
+            let i = task.next_claim;
+            task.next_claim += 1;
+            let (run, tx) = (Arc::clone(&task.run), task.tx.clone());
+            drop(s);
+            // A send failure means the consumer is gone (error or
+            // unwind) and its task deregistered: drop the result.
+            let _ = tx.send((i, catch_unwind(AssertUnwindSafe(|| run(i)))));
+            s = self.lock();
+        }
+    }
+}
+
+/// A registered task, owned by its consumer. Dropping it deregisters
+/// the task and wakes the workers, whichever way the consumer leaves.
+struct TaskGuard<'c, 'a, T: Send> {
+    core: &'c Core<'a, T>,
+    id: u64,
+    n: usize,
+    rx: mpsc::Receiver<Finished<T>>,
+}
+
+impl<T: Send> TaskGuard<'_, '_, T> {
+    /// The in-order drain: hands every result to `emit` in job-index
+    /// order on the calling thread. The first `emit` error stops the
+    /// stream and is returned; a job's panic is re-raised here with its
+    /// original payload.
+    fn drain(self, mut emit: impl FnMut(usize, T) -> io::Result<()>) -> io::Result<()> {
+        let mut pending = BTreeMap::new();
+        let mut emitted = 0;
+        while emitted < self.n {
+            let Ok((i, result)) = self.rx.recv() else {
+                // Every sender is gone with jobs outstanding: the pool
+                // was shut down under this task.
+                return Err(io::Error::other("worker pool shut down mid-campaign"));
+            };
+            pending.insert(i, result);
+            let before = emitted;
+            while let Some(result) = pending.remove(&emitted) {
+                match result {
+                    Ok(v) => emit(emitted, v)?,
+                    Err(payload) => resume_unwind(payload),
+                }
+                emitted += 1;
+            }
+            if emitted > before {
+                if let Some(t) = self.core.lock().tasks.iter_mut().find(|t| t.id == self.id) {
+                    t.emitted = emitted;
+                }
+                self.core.work_cv.notify_all();
+            }
+        }
+        Ok(())
+    }
+}
+
+impl<T: Send> Drop for TaskGuard<'_, '_, T> {
+    fn drop(&mut self) {
+        self.core.lock().tasks.retain(|t| t.id != self.id);
+        self.core.work_cv.notify_all();
+    }
+}
+
+// ---------------------------------------------------------------------
+// The two schedulers.
+
+/// A bounded worker pool for campaign jobs: the core on scoped threads,
+/// one task per call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Executor {
     workers: usize,
@@ -245,249 +445,70 @@ impl Executor {
         self.workers
     }
 
-    /// The default reorder window for [`Executor::run_streaming`]: deep
-    /// enough that a straggler never idles the pool, shallow enough that
-    /// buffered results stay O(workers).
-    pub fn default_window(&self) -> usize {
-        self.workers * 4
-    }
-
-    /// Runs `f(0..n)` across the pool, delivering every result to
-    /// `emit` **in index order**, as soon as it becomes the next index —
-    /// the streaming core everything else builds on.
-    ///
-    /// Out-of-order completions wait in a reorder buffer. Its size is
-    /// bounded by a claim gate: a worker may only *claim* index `i` once
-    /// `i < emitted + window`, so no more than `window + workers`
-    /// results ever exist outside `emit` (claimed-but-unemitted jobs),
-    /// regardless of how slow the job at the emission cursor is. With
-    /// `window >= n` the gate never blocks and the call degenerates to
-    /// the collect-then-sort behaviour.
-    ///
-    /// `emit` runs on the calling thread and returns whether to
-    /// continue: `false` aborts the stream — no new jobs start,
-    /// in-flight ones drain harmlessly, and `par_stream` returns early
-    /// (how a failing sink stops a long campaign immediately). A
-    /// panicking `f` likewise aborts the other workers and re-panics on
-    /// the caller instead of deadlocking the gate.
-    pub fn par_stream<T, F, E>(&self, n: usize, window: usize, f: F, mut emit: E)
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-        E: FnMut(usize, T) -> bool,
-    {
-        if n == 0 {
-            return;
-        }
+    /// Runs `f(0..n)` and hands each result to `emit` in index order on
+    /// the calling thread, as soon as it is the next index. One task on
+    /// `min(workers, n)` scoped threads; with one worker, a plain loop
+    /// on the calling thread.
+    fn stream<T: Send>(
+        &self,
+        n: usize,
+        window: usize,
+        f: impl Fn(usize) -> T + Sync,
+        mut emit: impl FnMut(usize, T) -> io::Result<()>,
+    ) -> io::Result<()> {
         let workers = self.workers.min(n);
-        if workers == 1 {
-            for i in 0..n {
-                let v = f(i);
-                if !emit(i, v) {
-                    return;
-                }
-            }
-            return;
+        if workers <= 1 {
+            return (0..n).try_for_each(|i| emit(i, f(i)));
         }
-        let window = window.max(1);
-        let next = AtomicUsize::new(0);
-        // (emitted cursor, abort flag) — workers wait on this until their
-        // claimed index enters the reorder window.
-        let gate = Mutex::new((0usize, false));
-        let gate_cv = Condvar::new();
-        let raise_abort = |gate: &Mutex<(usize, bool)>, cv: &Condvar| {
-            if let Ok(mut g) = gate.lock() {
-                g.1 = true;
-            }
-            cv.notify_all();
-        };
-        /// Raises the abort flag if its worker unwinds, so a panicking
-        /// job can never strand siblings in the gate wait: they wake,
-        /// drain, drop their senders, and the consumer's `recv` fails
-        /// over to the propagation path below.
-        struct PanicFuse<'a> {
-            gate: &'a Mutex<(usize, bool)>,
-            cv: &'a Condvar,
-        }
-        impl Drop for PanicFuse<'_> {
-            fn drop(&mut self) {
-                if std::thread::panicking() {
-                    if let Ok(mut g) = self.gate.lock() {
-                        g.1 = true;
-                    }
-                    self.cv.notify_all();
-                }
-            }
-        }
-        let (tx, rx) = mpsc::channel::<(usize, T)>();
+        // The task exists before its workers start, and `drain` consumes
+        // its guard, so on every exit it deregisters inside the scope and
+        // the workers leave before the scope joins them.
+        let core = Core::new(false);
+        let task = core.register(n, window, Arc::new(&f))?;
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                let tx = tx.clone();
-                let (next, gate, gate_cv, f) = (&next, &gate, &gate_cv, &f);
-                scope.spawn(move || {
-                    let _fuse = PanicFuse { gate, cv: gate_cv };
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        {
-                            let mut g = gate.lock().expect("gate poisoned");
-                            while !g.1 && i >= g.0 + window {
-                                g = gate_cv.wait(g).expect("gate poisoned");
-                            }
-                            if g.1 {
-                                break; // aborted
-                            }
-                        }
-                        if tx.send((i, f(i))).is_err() {
-                            break;
-                        }
-                    }
-                });
+                scope.spawn(|| core.work());
             }
-            drop(tx);
-            // Consumer: reassemble job order through the reorder buffer.
-            let mut pending: BTreeMap<usize, T> = BTreeMap::new();
-            let mut next_emit = 0usize;
-            'consume: while next_emit < n {
-                let Ok((i, v)) = rx.recv() else {
-                    // A worker died mid-job (its PanicFuse already woke
-                    // the others). Propagate.
-                    raise_abort(&gate, &gate_cv);
-                    panic!("campaign worker panicked");
-                };
-                pending.insert(i, v);
-                while let Some(v) = pending.remove(&next_emit) {
-                    if !emit(next_emit, v) {
-                        raise_abort(&gate, &gate_cv);
-                        break 'consume;
-                    }
-                    next_emit += 1;
-                }
-                {
-                    let mut g = gate.lock().expect("gate poisoned");
-                    g.0 = next_emit;
-                }
-                gate_cv.notify_all();
-                debug_assert!(
-                    pending.len() <= window + workers,
-                    "reorder buffer exceeded its bound: {} > {}",
-                    pending.len(),
-                    window + workers
-                );
-            }
-        });
+            task.drain(emit)
+        })
     }
 
     /// Runs `f(0..n)` across the pool and returns the results in index
     /// order. The pool never holds more than `min(workers, n)` OS
-    /// threads, however large `n` is. Collects everything — use
-    /// [`Executor::par_stream`] when results should be consumed
-    /// incrementally.
+    /// threads, however large `n` is.
     pub fn par_map<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
         let mut out = Vec::with_capacity(n);
-        // window = n: the claim gate never blocks, matching the old
-        // collect-then-sort semantics exactly.
-        self.par_stream(n, n.max(1), f, |i, v| {
-            debug_assert_eq!(i, out.len());
+        // window = n: the claim gate never blocks.
+        self.stream(n, n, f, |_, v| {
             out.push(v);
-            true
-        });
+            Ok(())
+        })
+        .expect("collecting into a Vec cannot fail");
         out
     }
 
     /// Simulates every job, pushing one [`Record`] per job into `sink`
-    /// **in job order** as workers complete. Peak memory is
-    /// O([`Executor::default_window`]) records plus whatever the sink
-    /// retains — a streaming sink (CSV/JSONL/store) keeps a grid of any
-    /// size out of RAM.
-    pub fn run_streaming(&self, jobs: &[Job], sink: &mut dyn RecordSink) -> std::io::Result<()> {
-        self.run_streaming_window(jobs, self.default_window(), sink)
-    }
-
-    /// [`Executor::run_streaming`] with an explicit reorder window
-    /// (tests pin the boundedness; callers normally want the default).
-    pub fn run_streaming_window(
-        &self,
-        jobs: &[Job],
-        window: usize,
-        sink: &mut dyn RecordSink,
-    ) -> std::io::Result<()> {
-        // Abort policy: a panicking job still unwinds through the pool
-        // exactly as it always has, so the failure callback is dead code.
-        self.run_streaming_policy(
-            jobs,
-            window,
-            &FailurePolicy::Abort,
-            |_, record| sink.accept(record),
-            |f| Err(std::io::Error::other(format!("job {} failed: {}", f.job_id, f.cause))),
+    /// **in job order** as workers complete. Peak memory is O(workers)
+    /// records plus whatever the sink retains — a streaming sink
+    /// (CSV/JSONL/store) keeps a grid of any size out of RAM.
+    pub fn run_streaming(&self, jobs: &[Job], sink: &mut dyn RecordSink) -> io::Result<()> {
+        self.stream(
+            jobs.len(),
+            reorder_window(self.workers),
+            |i| run_job(&jobs[i]),
+            |_, record| sink.accept(&record),
         )?;
         sink.finish()
     }
 
-    /// The policy-aware streaming core: simulates every job under a
-    /// [`FailurePolicy`], delivering results **in job order** on the
-    /// calling thread — `on_record(i, record)` for successes (where `i`
-    /// indexes into `jobs`), `on_failure(failure)` for jobs whose panics
-    /// the policy contained. The first callback error aborts the stream
-    /// (no further jobs are claimed) and is returned.
-    ///
-    /// Unlike the sink-based entry points this hands the caller the
-    /// emission index, so consumers that do their own bookkeeping (the
-    /// result store) stay in sync even when failed jobs leave gaps in
-    /// the record sequence.
-    pub fn run_streaming_policy<R, Fl>(
-        &self,
-        jobs: &[Job],
-        window: usize,
-        policy: &FailurePolicy,
-        mut on_record: R,
-        mut on_failure: Fl,
-    ) -> std::io::Result<()>
-    where
-        R: FnMut(usize, &Record) -> std::io::Result<()>,
-        Fl: FnMut(&JobFailure) -> std::io::Result<()>,
-    {
-        let mut err: Option<std::io::Error> = None;
-        self.par_stream(
-            jobs.len(),
-            window,
-            |i| run_job_contained(&jobs[i], policy),
-            |i, outcome| {
-                let result = match &outcome {
-                    JobOutcome::Done(record) => on_record(i, record),
-                    JobOutcome::Failed(failure) => on_failure(failure),
-                };
-                match result {
-                    Ok(()) => true,
-                    Err(e) => {
-                        // First consumer failure aborts the stream: no
-                        // further jobs are claimed, the error surfaces
-                        // immediately.
-                        err = Some(e);
-                        false
-                    }
-                }
-            },
-        );
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
     /// Simulates every job and returns one [`Record`] per job, in job
-    /// order (a [`MemorySink`] over the streaming path).
+    /// order.
     pub fn run_jobs(&self, jobs: &[Job]) -> Vec<Record> {
-        let mut sink = MemorySink::new();
-        self.run_streaming_window(jobs, jobs.len().max(1), &mut sink)
-            .expect("in-memory sink cannot fail");
-        sink.into_records()
+        self.par_map(jobs.len(), |i| run_job(&jobs[i]))
     }
 
     /// Expands and runs a whole campaign: [`crate::CampaignSpec::expand`]
@@ -499,192 +520,76 @@ impl Executor {
     }
 }
 
-// ---------------------------------------------------------------------
-// Shared scheduling: many campaigns, one worker pool.
-
 /// Anything that can execute a job list with policy-aware, in-order
 /// streaming delivery — the seam between the result store and the two
-/// execution backends: a private scoped pool per call ([`Executor`]) or
-/// one long-lived pool shared by every concurrent campaign
-/// ([`WorkerPool`]).
+/// schedulers: a private scoped pool per call ([`Executor`]) or one
+/// long-lived pool shared by every concurrent campaign ([`WorkerPool`]).
 ///
 /// Implementations must deliver callbacks **in job-index order on the
-/// calling thread**, exactly like [`Executor::run_streaming_policy`]:
-/// that ordering is what makes every store's `records.jsonl`
-/// byte-identical to a solo serial run no matter how jobs interleave
-/// across campaigns.
+/// calling thread**: that ordering is what makes every store's
+/// `records.jsonl` byte-identical to a solo serial run no matter how
+/// jobs interleave across campaigns.
 pub trait JobScheduler {
     /// The worker bound jobs run under.
     fn workers(&self) -> usize;
 
-    /// The reorder window used when the caller has no preference (same
-    /// shape as [`Executor::default_window`]).
-    fn default_window(&self) -> usize {
-        self.workers() * 4
-    }
-
     /// Runs every job of `jobs` under `policy`, delivering
-    /// `on_record(i, record)` / `on_failure(failure)` in job-index
-    /// order on the calling thread. The first callback error aborts
-    /// the stream (no further jobs are claimed) and is returned. Under
-    /// [`FailurePolicy::Abort`] a panicking job re-raises on the
-    /// calling thread with its original cause.
+    /// `on_record(i, record)` (where `i` indexes into `jobs`) or
+    /// `on_failure(failure)` in job-index order on the calling thread.
+    /// The first callback error aborts the stream (no further jobs are
+    /// claimed) and is returned. Under [`FailurePolicy::Abort`] a
+    /// panicking job re-raises on the calling thread with its original
+    /// payload.
     fn run_jobs_streaming(
         &self,
         jobs: &[Job],
-        window: usize,
         policy: &FailurePolicy,
-        on_record: &mut dyn FnMut(usize, &Record) -> std::io::Result<()>,
-        on_failure: &mut dyn FnMut(&JobFailure) -> std::io::Result<()>,
-    ) -> std::io::Result<()>;
+        on_record: &mut dyn FnMut(usize, &Record) -> io::Result<()>,
+        on_failure: &mut dyn FnMut(&JobFailure) -> io::Result<()>,
+    ) -> io::Result<()>;
 }
 
 impl JobScheduler for Executor {
     fn workers(&self) -> usize {
-        Executor::workers(self)
-    }
-
-    fn default_window(&self) -> usize {
-        Executor::default_window(self)
+        self.workers
     }
 
     fn run_jobs_streaming(
         &self,
         jobs: &[Job],
-        window: usize,
         policy: &FailurePolicy,
-        on_record: &mut dyn FnMut(usize, &Record) -> std::io::Result<()>,
-        on_failure: &mut dyn FnMut(&JobFailure) -> std::io::Result<()>,
-    ) -> std::io::Result<()> {
-        self.run_streaming_policy(jobs, window, policy, on_record, on_failure)
+        on_record: &mut dyn FnMut(usize, &Record) -> io::Result<()>,
+        on_failure: &mut dyn FnMut(&JobFailure) -> io::Result<()>,
+    ) -> io::Result<()> {
+        self.stream(
+            jobs.len(),
+            reorder_window(self.workers),
+            |i| run_job_contained(&jobs[i], policy),
+            |i, outcome| deliver(i, outcome, on_record, on_failure),
+        )
     }
-}
-
-/// One registered job stream inside the shared pool: a campaign's
-/// pending jobs plus its claim/gate cursors. All fields are guarded by
-/// the pool's single mutex — claims and cursor advances are rare next
-/// to the simulations they schedule.
-struct PoolTask {
-    id: u64,
-    jobs: Arc<Vec<Job>>,
-    policy: FailurePolicy,
-    window: usize,
-    /// Next job index a worker may claim.
-    next_claim: usize,
-    /// The consumer's in-order emission cursor; the claim gate allows
-    /// `next_claim < emitted + window`.
-    emitted: usize,
-    /// Results travel back to the registering consumer thread.
-    tx: mpsc::Sender<(usize, JobOutcome)>,
-}
-
-impl PoolTask {
-    fn claimable(&self) -> bool {
-        self.next_claim < self.jobs.len() && self.next_claim < self.emitted + self.window
-    }
-}
-
-struct PoolState {
-    tasks: Vec<PoolTask>,
-    /// Round-robin cursor: each claim starts scanning at the task after
-    /// the previously claimed one, so runnable campaigns share workers
-    /// per-claim and a huge campaign cannot starve a small one.
-    rr: usize,
-    next_id: u64,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    workers: usize,
-    state: Mutex<PoolState>,
-    /// Workers wait here when no task is claimable; notified on task
-    /// registration, emission-cursor advance, task removal, shutdown.
-    work_cv: Condvar,
 }
 
 /// A long-lived, bounded worker pool that multiplexes **every active
 /// campaign** onto one set of OS threads — the daemon's scheduler.
 ///
-/// Each [`WorkerPool::run_jobs_streaming`] call registers a *task* (one
-/// campaign's pending jobs). Idle workers claim jobs round-robin across
-/// runnable tasks — one claim, next task — so K runnable campaigns each
-/// get ~1/K of the pool (fair share) and a lone campaign gets all of it
-/// (work conserving). Every task keeps its own claim-gated reorder
-/// window, and results are reassembled **in job-index order on the
-/// registering thread**, so each campaign's durable output is
-/// byte-identical to a solo serial run regardless of interleaving.
-///
-/// Failure isolation: jobs always run under `catch_unwind` on pool
-/// threads. A campaign whose policy is [`FailurePolicy::Abort`]
-/// re-raises the panic on its *own* consumer thread — and the task
-/// deregisters during that unwind, releasing its claim on the pool
-/// immediately (no zombie slots) while other campaigns keep running.
+/// Each [`JobScheduler::run_jobs_streaming`] call registers a task (one
+/// campaign's pending jobs) with the shared core. Idle workers claim
+/// round-robin across runnable tasks — one claim, next task — so K
+/// runnable campaigns each get ~1/K of the pool (fair share) and a lone
+/// campaign gets all of it (work conserving). A campaign whose policy is
+/// [`FailurePolicy::Abort`] re-raises a job's panic on its *own*
+/// consumer thread, and its task deregisters during that unwind, so the
+/// pool stops claiming its jobs at once while other campaigns run on.
 pub struct WorkerPool {
-    shared: Arc<PoolShared>,
+    core: Arc<Core<'static, JobOutcome>>,
+    workers: usize,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool").field("workers", &self.shared.workers).finish()
-    }
-}
-
-/// Deregisters a task when its consumer leaves `run_jobs_streaming` —
-/// normally, on a callback error, or during an abort-policy unwind —
-/// so the pool stops claiming its jobs the moment the campaign dies.
-struct TaskGuard<'a> {
-    shared: &'a PoolShared,
-    id: u64,
-}
-
-impl Drop for TaskGuard<'_> {
-    fn drop(&mut self) {
-        let mut s = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
-        s.tasks.retain(|t| t.id != self.id);
-        drop(s);
-        self.shared.work_cv.notify_all();
-    }
-}
-
-/// Runs one job with *unconditional* containment: on a shared pool even
-/// an abort-policy panic must not kill the worker thread, so the unwind
-/// [`run_job_contained`] re-raises is caught here and carried back to
-/// the owning consumer as data (which re-raises it there).
-fn run_job_sandboxed(job: &Job, policy: &FailurePolicy) -> JobOutcome {
-    match catch_unwind(AssertUnwindSafe(|| run_job_contained(job, policy))) {
-        Ok(outcome) => outcome,
-        Err(payload) => JobOutcome::Failed(JobFailure {
-            job_id: job.index,
-            attempts: 1,
-            cause: panic_cause(payload.as_ref()),
-        }),
-    }
-}
-
-fn pool_worker_loop(shared: &PoolShared) {
-    let mut state = shared.state.lock().unwrap_or_else(|p| p.into_inner());
-    loop {
-        if state.shutdown {
-            return;
-        }
-        let len = state.tasks.len();
-        let claim = (0..len).map(|off| (state.rr + off) % len.max(1)).find(|&k| state.tasks[k].claimable());
-        let Some(k) = claim else {
-            state = shared.work_cv.wait(state).unwrap_or_else(|p| p.into_inner());
-            continue;
-        };
-        let t = &mut state.tasks[k];
-        let i = t.next_claim;
-        t.next_claim += 1;
-        let (jobs, policy, tx) = (Arc::clone(&t.jobs), t.policy.clone(), t.tx.clone());
-        state.rr = (k + 1) % len;
-        drop(state);
-        let outcome = run_job_sandboxed(&jobs[i], &policy);
-        // A send failure means the consumer is gone (cancelled or
-        // unwound); the task is already deregistered, drop the result.
-        let _ = tx.send((i, outcome));
-        state = shared.state.lock().unwrap_or_else(|p| p.into_inner());
+        f.debug_struct("WorkerPool").field("workers", &self.workers).finish()
     }
 }
 
@@ -693,26 +598,17 @@ impl WorkerPool {
     /// least 1), named `eend-pool-worker`.
     pub fn new(workers: usize) -> WorkerPool {
         let workers = workers.max(1);
-        let shared = Arc::new(PoolShared {
-            workers,
-            state: Mutex::new(PoolState {
-                tasks: Vec::new(),
-                rr: 0,
-                next_id: 0,
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
-        });
+        let core = Arc::new(Core::new(true));
         let threads = (0..workers)
             .map(|_| {
-                let shared = Arc::clone(&shared);
+                let core = Arc::clone(&core);
                 std::thread::Builder::new()
                     .name("eend-pool-worker".into())
-                    .spawn(move || pool_worker_loop(&shared))
+                    .spawn(move || core.work())
                     .expect("spawn pool worker")
             })
             .collect();
-        WorkerPool { shared, threads: Mutex::new(threads) }
+        WorkerPool { core, workers, threads: Mutex::new(threads) }
     }
 
     /// Stops the pool: running jobs finish (their results are dropped
@@ -720,14 +616,15 @@ impl WorkerPool {
     /// consumer blocked on results gets an error), and every worker
     /// thread is joined. Idempotent.
     pub fn shutdown(&self) {
-        let mut s = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
+        let mut s = self.core.lock();
         s.shutdown = true;
         // Dropping the registry's senders fails pending consumers'
         // `recv` over to the shutdown error path.
         s.tasks.clear();
         drop(s);
-        self.shared.work_cv.notify_all();
-        let threads = std::mem::take(&mut *self.threads.lock().unwrap_or_else(|p| p.into_inner()));
+        self.core.work_cv.notify_all();
+        let threads =
+            std::mem::take(&mut *self.threads.lock().unwrap_or_else(PoisonError::into_inner));
         for t in threads {
             let _ = t.join();
         }
@@ -737,7 +634,7 @@ impl WorkerPool {
     /// claimed or emitted) — observability for status endpoints and the
     /// no-zombie-slots tests.
     pub fn active_tasks(&self) -> usize {
-        self.shared.state.lock().unwrap_or_else(|p| p.into_inner()).tasks.len()
+        self.core.lock().tasks.len()
     }
 }
 
@@ -749,85 +646,34 @@ impl Drop for WorkerPool {
 
 impl JobScheduler for WorkerPool {
     fn workers(&self) -> usize {
-        self.shared.workers
+        self.workers
     }
 
     fn run_jobs_streaming(
         &self,
         jobs: &[Job],
-        window: usize,
         policy: &FailurePolicy,
-        on_record: &mut dyn FnMut(usize, &Record) -> std::io::Result<()>,
-        on_failure: &mut dyn FnMut(&JobFailure) -> std::io::Result<()>,
-    ) -> std::io::Result<()> {
-        let n = jobs.len();
-        if n == 0 {
+        on_record: &mut dyn FnMut(usize, &Record) -> io::Result<()>,
+        on_failure: &mut dyn FnMut(&JobFailure) -> io::Result<()>,
+    ) -> io::Result<()> {
+        if jobs.is_empty() {
             return Ok(());
         }
-        let (tx, rx) = mpsc::channel::<(usize, JobOutcome)>();
-        let id = {
-            let mut s = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
-            if s.shutdown {
-                return Err(std::io::Error::other("worker pool is shut down"));
-            }
-            let id = s.next_id;
-            s.next_id += 1;
-            s.tasks.push(PoolTask {
-                id,
-                jobs: Arc::new(jobs.to_vec()),
-                policy: policy.clone(),
-                window: window.max(1),
-                next_claim: 0,
-                emitted: 0,
-                tx,
-            });
-            id
-        };
-        self.shared.work_cv.notify_all();
-        let _guard = TaskGuard { shared: &self.shared, id };
-        let mut pending: BTreeMap<usize, JobOutcome> = BTreeMap::new();
-        let mut next_emit = 0usize;
-        while next_emit < n {
-            let Ok((i, outcome)) = rx.recv() else {
-                // Every sender is gone with jobs outstanding: the pool
-                // was shut down under this campaign.
-                return Err(std::io::Error::other("worker pool shut down mid-campaign"));
-            };
-            pending.insert(i, outcome);
-            let before = next_emit;
-            while let Some(outcome) = pending.remove(&next_emit) {
-                let step = match outcome {
-                    JobOutcome::Done(record) => on_record(next_emit, &record),
-                    JobOutcome::Failed(failure) => {
-                        if matches!(policy, FailurePolicy::Abort) {
-                            // Re-raise with the original cause on the
-                            // campaign's own thread; `_guard` releases
-                            // this task's pool slots during the unwind.
-                            std::panic::panic_any(failure.cause);
-                        }
-                        on_failure(&failure)
-                    }
-                };
-                step?;
-                next_emit += 1;
-            }
-            if next_emit > before {
-                let mut s = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
-                if let Some(t) = s.tasks.iter_mut().find(|t| t.id == id) {
-                    t.emitted = next_emit;
-                }
-                drop(s);
-                self.shared.work_cv.notify_all();
-            }
-        }
-        Ok(())
+        let (jobs, policy) = (jobs.to_vec(), policy.clone());
+        self.core
+            .register(
+                jobs.len(),
+                reorder_window(self.workers),
+                Arc::new(move |i| run_job_contained(&jobs[i], &policy)),
+            )?
+            .drain(|i, outcome| deliver(i, outcome, on_record, on_failure))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn par_map_preserves_index_order() {
@@ -859,7 +705,11 @@ mod tests {
             live.fetch_sub(1, Ordering::SeqCst);
             i
         });
-        assert!(peak.load(Ordering::SeqCst) <= bound, "peak {} > bound {bound}", peak.load(Ordering::SeqCst));
+        assert!(
+            peak.load(Ordering::SeqCst) <= bound,
+            "peak {} > bound {bound}",
+            peak.load(Ordering::SeqCst)
+        );
     }
 
     #[test]
@@ -869,27 +719,29 @@ mod tests {
     }
 
     #[test]
-    fn par_stream_emits_in_order_under_stragglers() {
+    fn stream_emits_in_order_under_stragglers() {
         // Job 0 is the slowest by far: every other job completes first
         // and must wait in the reorder buffer, yet emission order is
         // still 0, 1, 2, ...
         let mut seen = Vec::new();
-        Executor::with_workers(4).par_stream(
-            32,
-            8,
-            |i| {
-                std::thread::sleep(std::time::Duration::from_micros(if i == 0 {
-                    3000
-                } else {
-                    50
-                }));
-                i * 10
-            },
-            |i, v| {
-                seen.push((i, v));
-                true
-            },
-        );
+        Executor::with_workers(4)
+            .stream(
+                32,
+                8,
+                |i| {
+                    std::thread::sleep(std::time::Duration::from_micros(if i == 0 {
+                        3000
+                    } else {
+                        50
+                    }));
+                    i * 10
+                },
+                |i, v| {
+                    seen.push((i, v));
+                    Ok(())
+                },
+            )
+            .unwrap();
         assert_eq!(seen, (0..32).map(|i| (i, i * 10)).collect::<Vec<_>>());
     }
 
@@ -902,22 +754,24 @@ mod tests {
         let workers = 4;
         let emitted = AtomicUsize::new(0);
         let max_overrun = AtomicUsize::new(0);
-        Executor::with_workers(workers).par_stream(
-            64,
-            window,
-            |i| {
-                let e = emitted.load(Ordering::SeqCst);
-                max_overrun.fetch_max(i.saturating_sub(e), Ordering::SeqCst);
-                if i == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                }
-                i
-            },
-            |i, _| {
-                emitted.store(i + 1, Ordering::SeqCst);
-                true
-            },
-        );
+        Executor::with_workers(workers)
+            .stream(
+                64,
+                window,
+                |i| {
+                    let e = emitted.load(Ordering::SeqCst);
+                    max_overrun.fetch_max(i.saturating_sub(e), Ordering::SeqCst);
+                    if i == 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                    }
+                    i
+                },
+                |i, _| {
+                    emitted.store(i + 1, Ordering::SeqCst);
+                    Ok(())
+                },
+            )
+            .unwrap();
         // The emitted counter in this test lags the real cursor by at
         // most the emit-callback race, so allow one extra slot.
         assert!(
@@ -947,7 +801,8 @@ mod tests {
             let ex = Executor::with_workers(workers);
             let mut csv = CsvSink::new(&spec.name, Vec::new());
             // A tight window forces the reorder machinery to engage.
-            ex.run_streaming_window(&jobs, 2, &mut csv).unwrap();
+            ex.stream(jobs.len(), 2, |i| run_job(&jobs[i]), |_, r| csv.accept(&r)).unwrap();
+            csv.finish().unwrap();
             assert_eq!(
                 String::from_utf8(csv.into_inner()).unwrap(),
                 reference.to_csv(),
@@ -955,10 +810,7 @@ mod tests {
             );
             let mut jsonl = JsonlSink::new(&spec.name, Vec::new());
             ex.run_streaming(&jobs, &mut jsonl).unwrap();
-            assert_eq!(
-                String::from_utf8(jsonl.into_inner()).unwrap().lines().count(),
-                jobs.len()
-            );
+            assert_eq!(String::from_utf8(jsonl.into_inner()).unwrap().lines().count(), jobs.len());
         }
     }
 
@@ -990,19 +842,22 @@ mod tests {
         // tight window keeping the gate active.
         let started = AtomicUsize::new(0);
         let mut emitted = 0;
-        Executor::with_workers(3).par_stream(
-            10_000,
-            2,
-            |i| {
-                started.fetch_add(1, Ordering::SeqCst);
-                std::thread::sleep(std::time::Duration::from_micros(100));
-                i
-            },
-            |_, _| {
-                emitted += 1;
-                false // "disk full" on the very first record
-            },
-        );
+        let err = Executor::with_workers(3)
+            .stream(
+                10_000,
+                2,
+                |i| {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    std::thread::sleep(std::time::Duration::from_micros(100));
+                    i
+                },
+                |_, _| {
+                    emitted += 1;
+                    Err(io::Error::other("disk full")) // on the very first record
+                },
+            )
+            .unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
         assert_eq!(emitted, 1);
         let started = started.load(Ordering::SeqCst);
         assert!(
@@ -1042,27 +897,120 @@ mod tests {
         assert_eq!(b.delay(u32::MAX).as_millis() as u64, Backoff::CAP_MS);
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn failure_policy_parse_never_panics_and_round_trips(
+            opener in 0..POLICY_OPENERS.len(),
+            picks in proptest::collection::vec(0..POLICY_PIECES.len(), 0..6),
+        ) {
+            let text: String = std::iter::once(POLICY_OPENERS[opener])
+                .chain(picks.iter().map(|&i| POLICY_PIECES[i]))
+                .collect();
+            if let Some(p) = FailurePolicy::parse(&text) {
+                proptest::prop_assert_eq!(FailurePolicy::parse(&p.label()), Some(p));
+            }
+        }
+    }
+
+    const POLICY_OPENERS: &[&str] = &["", "retry=", "retry=3", "retry=2:", "abort", "skip"];
+    const POLICY_PIECES: &[&str] = &[
+        "retry=",
+        "0",
+        "1",
+        "7",
+        "100",
+        "4294967295",
+        "4294967296",
+        "18446744073709551616",
+        "99999999999999999999999999",
+        ":",
+        "::",
+        "=",
+        "+",
+        "-",
+        " ",
+        "é",
+        "日本",
+        "\u{0}",
+    ];
+
+    /// Runs `f` on a watchdog thread and returns the message it panicked
+    /// with, failing instead of hanging when it does not finish within a
+    /// minute.
+    fn panic_message_within_a_minute(what: &str, f: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ =
+                tx.send(catch_unwind(AssertUnwindSafe(f)).err().map(|p| panic_cause(p.as_ref())));
+        });
+        match rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(Some(message)) => message,
+            Ok(None) => panic!("{what} returned instead of panicking"),
+            Err(_) => panic!("{what} hung"),
+        }
+    }
+
     #[test]
-    fn worker_panic_propagates_even_with_a_tight_window() {
-        // Job 0 panics while it is the emission cursor: with the old
-        // gate, the surviving workers would block forever waiting for
-        // the window to move. The PanicFuse must wake them and the
-        // consumer must re-panic instead of deadlocking.
-        let result = std::panic::catch_unwind(|| {
-            Executor::with_workers(4).par_stream(
-                1000,
-                2,
-                |i| {
-                    if i == 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                        panic!("job 0 exploded");
-                    }
-                    i
-                },
-                |_, _| true,
+    fn consumer_panic_unwinds_instead_of_hanging() {
+        // The consumer panics on the first record, with more jobs than
+        // the window: workers waiting at the gate must be released, not
+        // left for the thread scope to wait on forever.
+        for workers in [2, 4] {
+            let message = panic_message_within_a_minute(&format!("{workers} workers"), move || {
+                let _ = Executor::with_workers(workers).stream(
+                    64,
+                    2,
+                    |i| i,
+                    |_, _| panic!("consumer exploded"),
+                );
+            });
+            assert_eq!(message, "consumer exploded", "workers={workers}");
+        }
+        let pool = Arc::new(WorkerPool::new(2));
+        let jobs = pool_jobs("consumer-panic", 12); // more than the pool's window of 8
+        let (consumer_pool, consumer_jobs) = (Arc::clone(&pool), jobs.clone());
+        let message = panic_message_within_a_minute("worker pool", move || {
+            let _ = consumer_pool.run_jobs_streaming(
+                &consumer_jobs,
+                &FailurePolicy::Abort,
+                &mut |_, _| panic!("consumer exploded"),
+                &mut |_| Ok(()),
             );
         });
-        assert!(result.is_err(), "the panic must propagate to the caller");
+        assert_eq!(message, "consumer exploded");
+        assert_eq!(pool.active_tasks(), 0, "the unwound consumer must release its task");
+        assert_eq!(collect_pool_run(&pool, &jobs).len(), jobs.len());
+    }
+
+    #[test]
+    fn job_panic_reraises_its_own_payload_at_any_worker_count() {
+        // Job 3 panics under a tight window while its siblings wait at
+        // the gate. Every worker count emits the records before it, then
+        // re-raises the job's own message.
+        for workers in [1, 2, 4] {
+            let emitted = Arc::new(Mutex::new(Vec::new()));
+            let seen = Arc::clone(&emitted);
+            let message = panic_message_within_a_minute(&format!("{workers} workers"), move || {
+                let _ = Executor::with_workers(workers).stream(
+                    1000,
+                    2,
+                    |i| {
+                        if i == 3 {
+                            panic!("job 3 exploded");
+                        }
+                        i
+                    },
+                    |i, _| {
+                        seen.lock().unwrap().push(i);
+                        Ok(())
+                    },
+                );
+            });
+            assert_eq!(message, "job 3 exploded", "workers={workers}");
+            assert_eq!(*emitted.lock().unwrap(), vec![0, 1, 2], "workers={workers}");
+        }
     }
 
     /// A small real job list for the shared-pool tests.
@@ -1077,11 +1025,10 @@ mod tests {
             .expand()
     }
 
-    fn collect_pool_run(pool: &WorkerPool, jobs: &[Job], window: usize) -> Vec<(usize, Record)> {
+    fn collect_pool_run(pool: &WorkerPool, jobs: &[Job]) -> Vec<(usize, Record)> {
         let mut got = Vec::new();
         pool.run_jobs_streaming(
             jobs,
-            window,
             &FailurePolicy::Abort,
             &mut |i, r| {
                 got.push((i, r.clone()));
@@ -1099,9 +1046,9 @@ mod tests {
         let reference = Executor::with_workers(1).run_jobs(&jobs);
         for workers in [1, 3] {
             let pool = WorkerPool::new(workers);
-            // A tight window forces the claim gate and reorder buffer
-            // to engage.
-            let got = collect_pool_run(&pool, &jobs, 2);
+            // One worker's window of 4 is shorter than the job list, so
+            // the claim gate and reorder buffer engage.
+            let got = collect_pool_run(&pool, &jobs);
             assert_eq!(got.len(), jobs.len(), "workers={workers}");
             for (k, (i, record)) in got.iter().enumerate() {
                 assert_eq!(*i, k, "emission order broke at {k} (workers={workers})");
@@ -1131,7 +1078,6 @@ mod tests {
             big_pool
                 .run_jobs_streaming(
                     &big,
-                    4,
                     &FailurePolicy::Abort,
                     &mut |_, _| {
                         big_counter.fetch_add(1, Ordering::SeqCst);
@@ -1147,7 +1093,7 @@ mod tests {
         while big_done.load(Ordering::SeqCst) < 1 {
             std::thread::sleep(Duration::from_micros(200));
         }
-        let n = collect_pool_run(&pool, &small, 4).len();
+        let n = collect_pool_run(&pool, &small).len();
         big_at_small_finish.store(big_done.load(Ordering::SeqCst), Ordering::SeqCst);
         big_thread.join().unwrap();
         assert_eq!(n, small.len());
@@ -1165,7 +1111,6 @@ mod tests {
         let err = pool
             .run_jobs_streaming(
                 &jobs,
-                2,
                 &FailurePolicy::Abort,
                 &mut |_, _| Err(std::io::Error::other("disk full")),
                 &mut |_| Ok(()),
@@ -1174,7 +1119,7 @@ mod tests {
         assert_eq!(err.to_string(), "disk full");
         assert_eq!(pool.active_tasks(), 0, "failed consumer must release its task");
         // The same pool keeps serving new campaigns afterwards.
-        assert_eq!(collect_pool_run(&pool, &jobs, 2).len(), jobs.len());
+        assert_eq!(collect_pool_run(&pool, &jobs).len(), jobs.len());
     }
 
     #[test]
@@ -1186,7 +1131,6 @@ mod tests {
         let consumer = std::thread::spawn(move || {
             consumer_pool.run_jobs_streaming(
                 &consumer_jobs,
-                2,
                 &FailurePolicy::Abort,
                 &mut |_, _| Ok(()),
                 &mut |_| Ok(()),
@@ -1201,13 +1145,7 @@ mod tests {
             assert!(e.to_string().contains("shut down"), "unexpected error: {e}");
         }
         let err = pool
-            .run_jobs_streaming(
-                &jobs,
-                2,
-                &FailurePolicy::Abort,
-                &mut |_, _| Ok(()),
-                &mut |_| Ok(()),
-            )
+            .run_jobs_streaming(&jobs, &FailurePolicy::Abort, &mut |_, _| Ok(()), &mut |_| Ok(()))
             .unwrap_err();
         assert!(err.to_string().contains("shut down"), "unexpected error: {err}");
     }

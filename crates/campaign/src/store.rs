@@ -38,7 +38,7 @@ use crate::report::{json_num, json_str, CampaignResult, Record};
 use crate::sink::RecordSink;
 use crate::spec::{BaseScenario, CampaignSpec, FailurePlan, Job};
 use eend_radio::EnergyReport;
-use eend_sim::SimDuration;
+use eend_sim::{Fnv1a, SimDuration};
 use eend_wireless::{stacks, RunMetrics};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -105,30 +105,30 @@ fn bad_data(msg: impl Into<String>) -> io::Error {
 /// any change to an axis, a seed range, or the horizon changes it —
 /// which is how a store refuses to resume under a different spec.
 pub fn fingerprint(campaign: &str, jobs: &[Job]) -> u64 {
-    let mut h = Fnv::new();
-    h.str(campaign);
-    h.u64(jobs.len() as u64);
+    let mut h = Fnv1a::default();
+    h.write_str(campaign);
+    h.write_u64(jobs.len() as u64);
     for j in jobs {
-        h.u64(j.index as u64);
-        h.str(&j.point.stack.name);
-        h.u64(j.point.rate_kbps.to_bits());
-        h.u64(j.point.nodes as u64);
-        h.u64(j.point.speed_mps.to_bits());
+        h.write_u64(j.index as u64);
+        h.write_str(&j.point.stack.name);
+        h.write_f64(j.point.rate_kbps);
+        h.write_u64(j.point.nodes as u64);
+        h.write_f64(j.point.speed_mps);
         // The traffic label carries the model's parameters
         // (`TrafficModel::label`) and the radio label names a fixed
         // registry profile, so hashing the labels pins both axes.
-        h.str(&j.point.traffic);
-        h.str(&j.point.radio);
-        h.str(&j.point.failure);
-        h.u64(j.point.seed);
-        h.u64(j.scenario.duration.as_nanos());
+        h.write_str(&j.point.traffic);
+        h.write_str(&j.point.radio);
+        h.write_str(&j.point.failure);
+        h.write_u64(j.point.seed);
+        h.write_u64(j.scenario.duration.as_nanos());
         // The failure *label* above is free text — hash the actual kill
         // schedule too, or two plans with the same label would collide
         // and a store would resume under different failure injections.
-        h.u64(j.scenario.node_failures.len() as u64);
+        h.write_u64(j.scenario.node_failures.len() as u64);
         for &(at, node) in &j.scenario.node_failures {
-            h.u64(at.as_nanos());
-            h.u64(node as u64);
+            h.write_u64(at.as_nanos());
+            h.write_u64(node as u64);
         }
         // Likewise the radio label: every unnamed builder-supplied mix
         // is spelled "custom", so hash the actual base card and
@@ -136,9 +136,9 @@ pub fn fingerprint(campaign: &str, jobs: &[Job]) -> u64 {
         // resume into one store.
         hash_card(&mut h, &j.scenario.card);
         match &j.scenario.card_assignment {
-            eend_wireless::CardAssignment::Uniform => h.u64(0),
+            eend_wireless::CardAssignment::Uniform => h.write_u64(0),
             eend_wireless::CardAssignment::Alternating(cards) => {
-                h.u64(1 + cards.len() as u64);
+                h.write_u64(1 + cards.len() as u64);
                 for c in cards {
                     hash_card(&mut h, c);
                 }
@@ -150,8 +150,8 @@ pub fn fingerprint(campaign: &str, jobs: &[Job]) -> u64 {
 
 /// Hashes a radio card's identity: name plus every power-model
 /// parameter, so even two cards sharing a name cannot collide.
-fn hash_card(h: &mut Fnv, c: &eend_radio::RadioCard) {
-    h.str(c.name);
+fn hash_card(h: &mut Fnv1a, c: &eend_radio::RadioCard) {
+    h.write_str(c.name);
     for v in [
         c.p_idle_mw,
         c.p_rx_mw,
@@ -162,35 +162,7 @@ fn hash_card(h: &mut Fnv, c: &eend_radio::RadioCard) {
         c.nominal_range_m,
         c.switch_energy_mj,
     ] {
-        h.u64(v.to_bits());
-    }
-}
-
-/// FNV-1a, 64-bit: tiny, stable across platforms, good enough to tell
-/// two campaign grids apart.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        for b in s.as_bytes() {
-            self.byte(*b);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
+        h.write_f64(v);
     }
 }
 
@@ -807,13 +779,8 @@ impl ResultStore {
             failed += 1;
             cancel_after(&cancelled)
         };
-        let result = scheduler.run_jobs_streaming(
-            &todo,
-            scheduler.default_window(),
-            &opts.policy,
-            &mut on_record,
-            &mut on_failure,
-        );
+        let result =
+            scheduler.run_jobs_streaming(&todo, &opts.policy, &mut on_record, &mut on_failure);
         // A job that failed in an earlier session and succeeded in this
         // one leaves a stale failure entry; prune as open() would.
         let completed = &self.completed;
@@ -1561,6 +1528,28 @@ mod tests {
             fp(&base.clone().failures(vec![plan(5)])),
             "kill schedules with identical labels must not collide"
         );
+    }
+
+    #[test]
+    fn fingerprint_is_pinned() {
+        // Daemon data directories are named after this digest, so a
+        // changed hash would orphan every existing store. The spec
+        // touches every hashed input: strings, floats, seeds, horizon,
+        // a kill schedule and a per-node card mix.
+        use crate::{BaseScenario, CampaignSpec};
+        use eend_wireless::stacks;
+        let spec = CampaignSpec::new("pinned", BaseScenario::Small)
+            .stacks(vec![stacks::titan_pc(), stacks::dsr_active()])
+            .rates(vec![2.0, 4.5])
+            .seeds(2)
+            .secs(30)
+            .traffic(vec![eend_wireless::TrafficModel::Poisson])
+            .radio_profiles(vec![eend_wireless::radio_profiles::mixed_hypo()])
+            .failures(vec![crate::FailurePlan {
+                label: "kill".to_owned(),
+                kills: vec![(10.0, 3)],
+            }]);
+        assert_eq!(fingerprint(&spec.name, &spec.expand()), 0x0ff7_c1ce_68ff_5e45);
     }
 
     #[test]

@@ -3,49 +3,13 @@
 //! The evaluation cache is keyed by this digest, so it must be a pure
 //! function of everything that determines an oracle's score: node
 //! positions, the radio card's power model, the demand matrix, and the
-//! candidate's routes and awake set. FNV-1a over a canonical byte walk —
-//! the same construction `ResultStore` uses for campaign fingerprints.
+//! candidate's routes and awake set. FNV-1a ([`Fnv1a`], from `eend-sim`)
+//! over a canonical byte walk — the same digest `ResultStore` uses for
+//! campaign fingerprints.
 
 use eend_core::design::Design;
 use eend_core::problem::DesignProblem;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a digest.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Fnv1a {
-        Fnv1a(FNV_OFFSET)
-    }
-}
-
-impl Fnv1a {
-    /// Folds raw bytes into the digest.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Folds a `u64` (little-endian bytes).
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Folds an `f64` by exact bit pattern (no rounding ambiguity).
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
+use eend_sim::Fnv1a;
 
 /// Digest of the problem alone (positions, card power model, demands).
 /// Cache directories record this so a cache built for one instance is

@@ -11,6 +11,10 @@
 //! Note hash maps are still unordered: any behaviour-relevant iteration
 //! must sort, hasher or no hasher. The determinism win is defence in
 //! depth; the throughput win is the point.
+//!
+//! [`Fnv1a`] is the workspace's one *digest*: a fixed function whose
+//! values are written down — in golden files, cache keys and campaign
+//! store fingerprints — so it must never change.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -81,6 +85,56 @@ pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `HashSet` keyed by the deterministic [`FxHasher`].
 pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
+/// Incremental 64-bit FNV-1a. Tiny and stable across platforms and
+/// releases (unlike std's hasher), which is what a digest that lands
+/// on disk needs; not collision-resistant against adversaries.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    #[inline]
+    fn default() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Folds raw bytes into the digest.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Folds a `u64` (little-endian bytes).
+    #[inline]
+    pub fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    /// Folds an `f64` by exact bit pattern (no rounding ambiguity).
+    #[inline]
+    pub fn write_f64(&mut self, v: f64) {
+        self.write_u64(v.to_bits());
+    }
+
+    /// Folds a string, length first, so adjacent strings cannot run
+    /// into each other.
+    #[inline]
+    pub fn write_str(&mut self, s: &str) {
+        self.write_u64(s.len() as u64);
+        self.write(s.as_bytes());
+    }
+
+    /// The digest so far.
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,6 +159,19 @@ mod tests {
         for i in 0..1000usize {
             assert_eq!(m.get(&(i, (i * 7) as u64)), Some(&(i as f64)));
         }
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        // The published FNV-1a 64-bit test vectors.
+        let digest = |bytes: &[u8]| {
+            let mut h = Fnv1a::default();
+            h.write(bytes);
+            h.finish()
+        };
+        assert_eq!(digest(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(digest(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(digest(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]
