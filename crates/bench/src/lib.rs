@@ -1,8 +1,8 @@
 //! Shared harness for regenerating the paper's tables and figures.
 //!
 //! Every `eend-bench` binary reproduces one table or figure of
-//! Sengul & Kravets (ICDCS 2007); see DESIGN.md for the full index. Each
-//! accepts:
+//! Sengul & Kravets (ICDCS 2007); see "Experiment index" in the
+//! repository's `DESIGN.md` for the full index. Each accepts:
 //!
 //! - `--quick` (default): reduced horizons/seed counts — minutes, same
 //!   qualitative shape;

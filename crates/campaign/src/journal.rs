@@ -1,6 +1,6 @@
 //! The append-only JSONL journal: one implementation of the durability
 //! contract behind a store's `records.jsonl` and `failures.jsonl` and the
-//! design-search eval cache's `evals.jsonl` (root `DESIGN.md`, "Durable
+//! design-search eval cache's `evals.jsonl` (`DESIGN.md`, "Durable
 //! journal").
 //!
 //! - **Lines.** Each entry is one line ending in `\n`. Blank lines are

@@ -63,6 +63,8 @@
 
 pub mod executor;
 pub mod journal;
+pub mod json;
+pub mod loadgen;
 pub mod report;
 pub mod serve;
 pub mod sink;

@@ -1,6 +1,7 @@
 //! Campaign results: per-run records, per-cell aggregation, and
 //! structured CSV/JSON writers.
 
+use crate::json::{json_num, json_str};
 use crate::spec::GridPoint;
 use eend_stats::Series;
 use eend_wireless::RunMetrics;
@@ -179,34 +180,6 @@ pub(crate) fn csv_field(s: &str) -> String {
     }
 }
 
-/// Escapes a string as a JSON string literal.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders an f64 as JSON (JSON has no Infinity/NaN; map them to null).
-pub(crate) fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,17 +243,11 @@ mod tests {
     }
 
     #[test]
-    fn csv_quoting_and_json_escaping() {
+    fn csv_fields_quote_delimiters_quotes_and_newlines() {
         assert_eq!(csv_field("plain"), "plain");
         assert_eq!(csv_field("a,b"), "\"a,b\"");
         assert_eq!(csv_field("q\"q"), "\"q\"\"q\"");
         assert_eq!(csv_field("two\nlines"), "\"two\nlines\"");
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_str("tab\there\rcr"), "\"tab\\there\\rcr\"");
-        assert_eq!(json_str("ctl\u{1}"), "\"ctl\\u0001\"");
-        assert_eq!(json_num(f64::INFINITY), "null");
-        assert_eq!(json_num(f64::NAN), "null");
-        assert_eq!(json_num(1.5), "1.5");
     }
 
     #[test]

@@ -64,8 +64,9 @@
 //! cause in `"error"` — while the daemon and its other campaigns keep
 //! serving. Connection handlers are supervised the same way (a handler
 //! panic costs one connection, answered 500). POST bodies are bounded
-//! (413 past 1 MiB), header floods are cut off, and slow, timed-out, or
-//! malformed clients are logged with their peer address. A campaign
+//! (413 past 1 MiB), as are request and header lines (413 past 8 KiB);
+//! header floods are cut off, and slow, timed-out, or malformed clients
+//! are logged with their peer address. A campaign
 //! that dies releases its claimed pool slots immediately (its pool
 //! task deregisters during the unwind), so concurrent campaigns keep
 //! all remaining workers. On shutdown ([`ServerHandle::shutdown`], or
@@ -76,11 +77,12 @@
 //! resumes exactly the missing jobs.
 
 use crate::executor::{panic_cause, Executor, FailurePolicy, JobScheduler, WorkerPool};
-use crate::report::{csv_header_into, csv_row_into, json_num, json_row_into, json_str, Record};
+use crate::json::{bad_data, json_num, json_str, parse_json, JVal};
+use crate::report::{csv_header_into, csv_row_into, json_row_into, Record};
 use crate::spec::{CampaignSpec, GridPoint, Job};
 use crate::store::{
-    fingerprint, merge_stores_streaming, metrics_from_json, parse_json, verify_line_identity,
-    JVal, Manifest, ResultStore, RunOptions, SpecAxes, RECORDS_FILE,
+    fingerprint, merge_stores_streaming, metrics_from_json, verify_line_identity, Manifest,
+    ResultStore, RunOptions, SpecAxes, RECORDS_FILE,
 };
 use crate::RecordSink;
 use eend_stats::grouped::StreamingAggregator;
@@ -102,10 +104,8 @@ use std::time::Duration;
 const MAX_BODY_BYTES: usize = 1 << 20;
 /// Header-flood cutoff for one request.
 const MAX_HEADER_LINES: usize = 100;
-
-fn bad_req(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
+/// Longest request line or header line the daemon will buffer.
+const MAX_LINE_BYTES: u64 = 8 << 10;
 
 /// Configuration of a [`serve`] instance.
 #[derive(Debug, Clone)]
@@ -430,14 +430,14 @@ fn find_campaign(state: &ServeState, fp: u64) -> io::Result<Option<Arc<CampaignE
     let manifest = store.manifest().clone();
     drop(store);
     let Some(axes) = manifest.axes else {
-        return Err(bad_req(format!(
+        return Err(bad_data(format!(
             "store {} records no spec axes; its campaign cannot be rehydrated",
             dir.display()
         )));
     };
     let entry = register(state, axes.to_spec(&manifest.campaign)?, None)?;
     if entry.fingerprint != fp {
-        return Err(bad_req(format!(
+        return Err(bad_data(format!(
             "store {} rebuilds to fingerprint {:016x}, not {fp:016x}",
             dir.display(),
             entry.fingerprint
@@ -497,22 +497,36 @@ impl Request {
     }
 }
 
-fn read_request(stream: &TcpStream) -> io::Result<Request> {
-    let mut reader = BufReader::new(stream.try_clone()?);
+/// Reads one line of the request head, at most [`MAX_LINE_BYTES`] long.
+/// A longer line is an [`io::ErrorKind::InvalidInput`] error (413), so a
+/// client that never sends a newline cannot grow the buffer without
+/// bound.
+fn read_head_line(reader: &mut impl BufRead, line: &mut String) -> io::Result<usize> {
+    let n = reader.take(MAX_LINE_BYTES).read_line(line)?;
+    if n as u64 == MAX_LINE_BYTES && !line.ends_with('\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("request line or header longer than {MAX_LINE_BYTES} bytes"),
+        ));
+    }
+    Ok(n)
+}
+
+fn read_request(reader: &mut impl BufRead) -> io::Result<Request> {
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    read_head_line(reader, &mut line)?;
     let mut parts = line.split_whitespace();
-    let method = parts.next().ok_or_else(|| bad_req("empty request line"))?.to_owned();
-    let target = parts.next().ok_or_else(|| bad_req("request line lacks a target"))?.to_owned();
+    let method = parts.next().ok_or_else(|| bad_data("empty request line"))?.to_owned();
+    let target = parts.next().ok_or_else(|| bad_data("request line lacks a target"))?.to_owned();
     let mut content_length = 0usize;
     let mut header_lines = 0usize;
     loop {
         header_lines += 1;
         if header_lines > MAX_HEADER_LINES {
-            return Err(bad_req(format!("more than {MAX_HEADER_LINES} request headers")));
+            return Err(bad_data(format!("more than {MAX_HEADER_LINES} request headers")));
         }
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        if read_head_line(reader, &mut header)? == 0 {
             break;
         }
         let header = header.trim_end();
@@ -524,7 +538,7 @@ fn read_request(stream: &TcpStream) -> io::Result<Request> {
                 content_length = v
                     .trim()
                     .parse()
-                    .map_err(|_| bad_req(format!("bad Content-Length {:?}", v.trim())))?;
+                    .map_err(|_| bad_data(format!("bad Content-Length {:?}", v.trim())))?;
             }
         }
     }
@@ -538,7 +552,7 @@ fn read_request(stream: &TcpStream) -> io::Result<Request> {
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
-    let body = String::from_utf8(body).map_err(|_| bad_req("request body is not UTF-8"))?;
+    let body = String::from_utf8(body).map_err(|_| bad_data("request body is not UTF-8"))?;
     let (path, query_text) = match target.split_once('?') {
         Some((p, q)) => (p.to_owned(), q),
         None => (target.clone(), ""),
@@ -621,7 +635,8 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServeState>) -> io::Resu
 
 fn dispatch(stream: &mut TcpStream, state: &Arc<ServeState>, peer: &str) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let req = match read_request(stream) {
+    let parsed = read_request(&mut BufReader::new(&*stream));
+    let req = match parsed {
         Ok(r) => r,
         Err(e) => {
             let (code, what) = match e.kind() {
@@ -648,16 +663,9 @@ fn dispatch(stream: &mut TcpStream, state: &Arc<ServeState>, peer: &str) -> io::
             respond(stream, 200, "application/json", &body)
         }
         ("GET", ["status", fp_hex]) => with_campaign(state, fp_hex, stream, |entry, s| {
-            let (done, failed, phase, error) = {
-                let p = entry.progress.lock().expect("progress lock poisoned");
-                (p.done, p.failed, p.phase, p.error.clone())
-            };
+            let (fields, error) = progress_fields(&entry);
             let json = format!(
-                "{{\"fingerprint\":\"{:016x}\",\"total\":{},\"done\":{done},\"failed\":{failed},\
-                 \"state\":{},\"error\":{},\"workers\":{},\"executed\":{}}}\n",
-                entry.fingerprint,
-                entry.jobs.len(),
-                json_str(state_name(done, entry.jobs.len(), phase, error.is_some())),
+                "{{{fields},\"error\":{},\"workers\":{},\"executed\":{}}}\n",
                 error.as_deref().map(json_str).unwrap_or_else(|| "null".to_owned()),
                 state.pool.workers(),
                 state.jobs_executed.load(Ordering::SeqCst)
@@ -745,43 +753,44 @@ fn status_listing(state: &ServeState) -> String {
         state.jobs_executed.load(Ordering::SeqCst)
     );
     for (i, entry) in campaigns.iter().enumerate() {
-        let (done, failed, phase, has_error) = {
-            let p = entry.progress.lock().expect("progress lock poisoned");
-            (p.done, p.failed, p.phase, p.error.is_some())
-        };
-        if i > 0 {
-            body.push(',');
-        }
-        let _ = write!(
-            body,
-            "{{\"fingerprint\":\"{:016x}\",\"total\":{},\"done\":{done},\"failed\":{failed},\
-             \"state\":{}}}",
-            entry.fingerprint,
-            entry.jobs.len(),
-            json_str(state_name(done, entry.jobs.len(), phase, has_error))
-        );
+        let _ = write!(body, "{}{{{}}}", if i > 0 { "," } else { "" }, progress_fields(entry).0);
     }
     body.push_str("]}\n");
     body
+}
+
+/// The `"fingerprint","total","done","failed","state"` fields both
+/// status bodies carry for a campaign, and its last run's error.
+fn progress_fields(entry: &CampaignEntry) -> (String, Option<String>) {
+    let p = entry.progress.lock().expect("progress lock poisoned");
+    let fields = format!(
+        "\"fingerprint\":\"{:016x}\",\"total\":{},\"done\":{},\"failed\":{},\"state\":{}",
+        entry.fingerprint,
+        entry.jobs.len(),
+        p.done,
+        p.failed,
+        json_str(state_name(p.done, entry.jobs.len(), p.phase, p.error.is_some()))
+    );
+    (fields, p.error.clone())
 }
 
 fn submit_impl(state: &Arc<ServeState>, body: &str) -> io::Result<String> {
     let v = parse_json(body)?;
     let campaign = v.get("campaign")?.str()?;
     if campaign.is_empty() {
-        return Err(bad_req("campaign name must not be empty"));
+        return Err(bad_data("campaign name must not be empty"));
     }
     let axes = SpecAxes::from_jval(v.get("axes")?)?;
     let spec = axes.to_spec(campaign)?;
     if spec.job_count() == 0 {
-        return Err(bad_req("spec expands to zero jobs (no stacks?)"));
+        return Err(bad_data("spec expands to zero jobs (no stacks?)"));
     }
     let policy = match v.get_opt("on_failure")? {
         None | Some(JVal::Null) => None,
         Some(p) => {
             let label = p.str()?;
             Some(FailurePolicy::parse(label).ok_or_else(|| {
-                bad_req(format!("bad on_failure {label:?} (expected abort|skip|retry=N)"))
+                bad_data(format!("bad on_failure {label:?} (expected abort|skip|retry=N)"))
             })?)
         }
     };
@@ -938,7 +947,7 @@ fn aggregate_impl(state: &ServeState, entry: &CampaignEntry) -> io::Result<Strin
     let done = {
         let p = entry.progress.lock().expect("progress lock poisoned");
         if p.done < entry.jobs.len() {
-            return Err(bad_req(format!(
+            return Err(bad_data(format!(
                 "campaign incomplete ({}/{} jobs durable) — submit it and poll status to done",
                 p.done,
                 entry.jobs.len()
@@ -987,4 +996,83 @@ fn aggregate_impl(state: &ServeState, entry: &CampaignEntry) -> io::Result<Strin
     }
     *entry.agg_cache.lock().expect("agg cache poisoned") = Some((done, Arc::new(out.clone())));
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Cursor;
+
+    #[test]
+    fn an_endless_request_line_is_refused_as_oversized() {
+        let line = vec![b'A'; 2 << 20];
+        let err = read_request(&mut Cursor::new(line)).err().expect("a 2 MiB line must not parse");
+        // InvalidInput is what the connection handler answers 413.
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        // The same for a header line, and the cap is exact.
+        let mut req = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
+        req.resize(req.len() + (2 << 20), b'p');
+        let err = read_request(&mut Cursor::new(req)).err().unwrap();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let mut ok = b"GET /".to_vec();
+        ok.resize(MAX_LINE_BYTES as usize - 2, b'x');
+        ok.extend_from_slice(b" \n\r\n");
+        assert_eq!(read_request(&mut Cursor::new(ok)).unwrap().method, "GET");
+    }
+
+    #[test]
+    fn an_endless_request_line_gets_413_over_tcp() {
+        let data = std::env::temp_dir().join(format!("eend-serve-longline-{}", std::process::id()));
+        let handle = serve(
+            "127.0.0.1:0",
+            ServeConfig { data_dir: data.clone(), executor: Executor::with_workers(1) },
+        )
+        .unwrap();
+        let mut conn = TcpStream::connect(handle.addr()).unwrap();
+        let mut writer = conn.try_clone().unwrap();
+        // The daemon answers before the line ends, so write from a
+        // second thread and ignore the reset that cuts the write short.
+        let w = thread::spawn(move || {
+            let _ = writer.write_all(&vec![b'A'; 2 << 20]);
+        });
+        let mut resp = Vec::new();
+        let _ = conn.read_to_end(&mut resp);
+        let _ = w.join();
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&data);
+        let resp = String::from_utf8_lossy(&resp);
+        assert!(resp.starts_with("HTTP/1.1 413 "), "got: {resp:?}");
+    }
+
+    /// Pieces of (mal)formed request heads: methods, targets, header
+    /// names, Content-Length values, line ends and non-ASCII bytes.
+    #[rustfmt::skip]
+    const HTTP_PIECES: &[&[u8]] = &[
+        b"GET", b"POST", b" ", b"/", b"/status/", b"?from=", b"&", b"=", b"HTTP/1.1", b"\r\n",
+        b"\n", b"\r", b"Content-Length:", b"content-length: ", b"0", b"5", b"-1",
+        b"99999999999999999999", b"1048577", b"Host: t", b":", b"{}", "é".as_bytes(), b"\xff",
+        b"\x00",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn read_request_never_panics_on_arbitrary_bytes(
+            picks in proptest::collection::vec(0..HTTP_PIECES.len(), 0..40),
+            noise in proptest::collection::vec((0usize..64, 0u16..256), 0..3),
+        ) {
+            let mut bytes: Vec<u8> =
+                picks.iter().flat_map(|&i| HTTP_PIECES[i].iter().copied()).collect();
+            for &(at, b) in &noise {
+                if !bytes.is_empty() {
+                    let at = at % bytes.len();
+                    bytes[at] = b as u8;
+                }
+            }
+            if let Ok(req) = read_request(&mut Cursor::new(bytes)) {
+                proptest::prop_assert!(!req.method.is_empty() && req.body.len() <= MAX_BODY_BYTES);
+            }
+        }
+    }
 }

@@ -73,6 +73,28 @@ impl FailurePlan {
     pub fn kill(label: &str, at_s: f64, node: usize) -> FailurePlan {
         FailurePlan { label: label.to_owned(), kills: vec![(at_s, node)] }
     }
+
+    /// Parses the CLI spelling (`eend-cli campaign --failures`): `none`,
+    /// or `+`-joined `NODE@SECS` kill events at finite, non-negative
+    /// instants. The trimmed input becomes the label, so
+    /// `FailurePlan::parse(&p.label)` gives `p` back.
+    pub fn parse(raw: &str) -> Option<FailurePlan> {
+        let spec = raw.trim();
+        if spec.eq_ignore_ascii_case("none") {
+            return Some(FailurePlan::none());
+        }
+        let mut kills = Vec::new();
+        for kill in spec.split('+') {
+            let (node, at_s) = kill.split_once('@')?;
+            let node: usize = node.trim().parse().ok()?;
+            let at_s: f64 = at_s.trim().parse().ok()?;
+            if !(at_s.is_finite() && at_s >= 0.0) {
+                return None;
+            }
+            kills.push((at_s, node));
+        }
+        (!kills.is_empty()).then(|| FailurePlan { label: spec.to_owned(), kills })
+    }
 }
 
 /// One cell-coordinate of the expanded grid: everything that identifies a
@@ -616,5 +638,45 @@ mod tests {
             assert_eq!(BaseScenario::parse(s), Some(b));
         }
         assert_eq!(BaseScenario::parse("huge"), None);
+    }
+
+    #[test]
+    fn failure_plan_parse_reads_the_cli_spelling() {
+        assert_eq!(FailurePlan::parse(" NONE "), Some(FailurePlan::none()));
+        let p = FailurePlan::parse(" 3@10+7@2.5 ").unwrap();
+        assert_eq!(p.label, "3@10+7@2.5");
+        assert_eq!(p.kills, vec![(10.0, 3), (2.5, 7)]);
+        for bad in ["", "3", "3@", "@10", "3@-1", "3@inf", "3@NaN", "-3@1", "3@1+", "3@1e400"] {
+            assert_eq!(FailurePlan::parse(bad), None, "{bad:?}");
+        }
+    }
+
+    /// Openers and pieces for the failure-plan fuzz: the grammar's
+    /// tokens, signs, non-finite spellings, over-long digit runs and
+    /// non-ASCII.
+    const PLAN_OPENERS: &[&str] = &["", "none", "3@", "3@10", " 0@0+", "+"];
+    #[rustfmt::skip]
+    const PLAN_PIECES: &[&str] = &[
+        "+", "@", "none", "NoNe", " ", "-", "0", "3", "17", "1.5", ".", "e", "1e3", "1e400",
+        "inf", "-inf", "NaN", "infinity", "18446744073709551615", "18446744073709551616",
+        "99999999999999999999999999999999", "é", "日本", "\u{0}", "\u{1f600}",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn failure_plan_parse_never_panics_and_round_trips(
+            opener in 0..PLAN_OPENERS.len(),
+            picks in proptest::collection::vec(0..PLAN_PIECES.len(), 0..8),
+        ) {
+            let text: String = std::iter::once(PLAN_OPENERS[opener])
+                .chain(picks.iter().map(|&i| PLAN_PIECES[i]))
+                .collect();
+            if let Some(p) = FailurePlan::parse(&text) {
+                proptest::prop_assert!(p.kills.iter().all(|&(at, _)| at.is_finite() && at >= 0.0));
+                proptest::prop_assert_eq!(FailurePlan::parse(&p.label), Some(p));
+            }
+        }
     }
 }

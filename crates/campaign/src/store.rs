@@ -34,7 +34,8 @@
 
 use crate::executor::{FailurePolicy, JobFailure, JobScheduler};
 use crate::journal::{Journal, JournalReader};
-use crate::report::{json_num, json_str, CampaignResult, Record};
+use crate::json::{bad_data, json_num, json_str, parse_json, JVal};
+use crate::report::{CampaignResult, Record};
 use crate::sink::RecordSink;
 use crate::spec::{BaseScenario, CampaignSpec, FailurePlan, Job};
 use eend_radio::EnergyReport;
@@ -90,10 +91,6 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         let _ = std::fs::remove_file(&tmp);
     }
     res
-}
-
-fn bad_data(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
 // ---------------------------------------------------------------------
@@ -328,61 +325,25 @@ impl SpecAxes {
     /// reader and the serve submit endpoint).
     pub(crate) fn from_jval(a: &JVal) -> io::Result<SpecAxes> {
         Ok(SpecAxes {
-            preset: a.get("preset")?.str()?.to_owned(),
-            stacks: a
-                .get("stacks")?
-                .arr()?
-                .iter()
-                .map(|s| s.str().map(str::to_owned))
-                .collect::<io::Result<_>>()?,
-            rates: a.get("rates")?.arr()?.iter().map(|x| x.f64()).collect::<io::Result<_>>()?,
-            node_counts: a
-                .get("node_counts")?
-                .arr()?
-                .iter()
-                .map(|x| x.usize())
-                .collect::<io::Result<_>>()?,
-            speeds: a.get("speeds")?.arr()?.iter().map(|x| x.f64()).collect::<io::Result<_>>()?,
-            traffic: a
-                .get("traffic")?
-                .arr()?
-                .iter()
-                .map(|t| t.str().map(str::to_owned))
-                .collect::<io::Result<_>>()?,
-            radio: a
-                .get("radio")?
-                .arr()?
-                .iter()
-                .map(|r| r.str().map(str::to_owned))
-                .collect::<io::Result<_>>()?,
-            failures: a
-                .get("failures")?
-                .arr()?
-                .iter()
-                .map(|p| {
-                    Ok(FailurePlan {
-                        label: p.get("label")?.str()?.to_owned(),
-                        kills: p
-                            .get("kills")?
-                            .arr()?
-                            .iter()
-                            .map(|k| {
-                                let k = k.arr()?;
-                                if k.len() != 2 {
-                                    return Err(bad_data("kill needs [secs, node]"));
-                                }
-                                Ok((k[0].f64()?, k[1].usize()?))
-                            })
-                            .collect::<io::Result<_>>()?,
-                    })
+            preset: a.get("preset")?.string()?,
+            stacks: a.get("stacks")?.list(JVal::string)?,
+            rates: a.get("rates")?.list(JVal::f64)?,
+            node_counts: a.get("node_counts")?.list(JVal::usize)?,
+            speeds: a.get("speeds")?.list(JVal::f64)?,
+            traffic: a.get("traffic")?.list(JVal::string)?,
+            radio: a.get("radio")?.list(JVal::string)?,
+            failures: a.get("failures")?.list(|p| {
+                Ok(FailurePlan {
+                    label: p.get("label")?.string()?,
+                    kills: p.get("kills")?.list(|k| match k.arr()? {
+                        [at, node] => Ok((at.f64()?, node.usize()?)),
+                        _ => Err(bad_data("kill needs [secs, node]")),
+                    })?,
                 })
-                .collect::<io::Result<_>>()?,
+            })?,
             seeds: a.get("seeds")?.u64()?,
             seed_base: a.get("seed_base")?.u64()?,
-            secs: match a.get("secs")? {
-                JVal::Null => None,
-                x => Some(x.u64()?),
-            },
+            secs: a.get("secs")?.non_null().map(JVal::u64).transpose()?,
         })
     }
 }
@@ -452,18 +413,9 @@ impl Manifest {
             self.shard_index,
             self.shard_count
         );
-        match &self.on_failure {
-            None => s.push_str(",\"on_failure\":null"),
-            Some(p) => {
-                let _ = write!(s, ",\"on_failure\":{}", json_str(p));
-            }
-        }
-        match &self.axes {
-            None => s.push_str(",\"axes\":null"),
-            Some(a) => {
-                let _ = write!(s, ",\"axes\":{}", a.to_json());
-            }
-        }
+        let on_failure = self.on_failure.as_deref().map_or("null".to_owned(), json_str);
+        let axes = self.axes.as_ref().map_or("null".to_owned(), SpecAxes::to_json);
+        let _ = write!(s, ",\"on_failure\":{on_failure},\"axes\":{axes}");
         s.push_str("}\n");
         s
     }
@@ -484,16 +436,11 @@ impl Manifest {
         let fp_hex = v.get("fingerprint")?.str()?;
         let fingerprint = u64::from_str_radix(fp_hex, 16)
             .map_err(|_| bad_data(format!("bad fingerprint {fp_hex:?}")))?;
-        let axes = match v.get("axes")? {
-            JVal::Null => None,
-            a => Some(SpecAxes::from_jval(a)?),
-        };
+        let axes = v.get("axes")?.non_null().map(SpecAxes::from_jval).transpose()?;
         // Optional: version-2 manifests written before failure policies
         // existed simply lack the key, which means abort (the default).
-        let on_failure = match v.get_opt("on_failure")? {
-            None | Some(JVal::Null) => None,
-            Some(p) => Some(p.str()?.to_owned()),
-        };
+        let on_failure =
+            v.get_opt("on_failure")?.and_then(JVal::non_null).map(JVal::string).transpose()?;
         Ok(Manifest {
             campaign: v.get("campaign")?.str()?.to_owned(),
             fingerprint,
@@ -1163,23 +1110,10 @@ pub(crate) fn metrics_from_json(v: &JVal) -> io::Result<RunMetrics> {
         broadcast_collisions: v.get("broadcast_collisions")?.u64()?,
         rts_collisions: v.get("rts_collisions")?.u64()?,
         link_failures: v.get("link_failures")?.u64()?,
-        per_node_energy: v
-            .get("per_node_energy")?
-            .arr()?
-            .iter()
-            .map(energy_report_from)
-            .collect::<io::Result<_>>()?,
+        per_node_energy: v.get("per_node_energy")?.list(energy_report_from)?,
         energy_total: energy_report_from(v.get("energy_total")?)?,
         data_forwarders: v.get("data_forwarders")?.usize()?,
-        routes: v
-            .get("routes")?
-            .arr()?
-            .iter()
-            .map(|r| match r {
-                JVal::Null => Ok(None),
-                _ => Ok(Some(r.arr()?.iter().map(|h| h.usize()).collect::<io::Result<_>>()?)),
-            })
-            .collect::<io::Result<_>>()?,
+        routes: v.get("routes")?.list(|r| r.non_null().map(|r| r.list(JVal::usize)).transpose())?,
         duration_s: v.get("duration_s")?.f64()?,
     })
 }
@@ -1202,282 +1136,9 @@ pub(crate) fn verify_line_identity(v: &JVal, job: &Job) -> io::Result<()> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON.
-
-/// A parsed JSON value. Numbers keep their raw token so u64s round-trip
-/// without an f64 detour and f64s restore their exact bit pattern.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum JVal {
-    Null,
-    Bool(bool),
-    Num(String),
-    Str(String),
-    Arr(Vec<JVal>),
-    Obj(Vec<(String, JVal)>),
-}
-
-impl JVal {
-    fn type_name(&self) -> &'static str {
-        match self {
-            JVal::Null => "null",
-            JVal::Bool(_) => "bool",
-            JVal::Num(_) => "number",
-            JVal::Str(_) => "string",
-            JVal::Arr(_) => "array",
-            JVal::Obj(_) => "object",
-        }
-    }
-
-    pub(crate) fn get(&self, key: &str) -> io::Result<&JVal> {
-        let JVal::Obj(pairs) = self else {
-            return Err(bad_data(format!("expected object with {key:?}, got {}", self.type_name())));
-        };
-        pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| bad_data(format!("missing key {key:?}")))
-    }
-
-    /// Like [`JVal::get`], but a missing key reads as `None` (for keys
-    /// added after files in the wild were written).
-    pub(crate) fn get_opt(&self, key: &str) -> io::Result<Option<&JVal>> {
-        let JVal::Obj(pairs) = self else {
-            return Err(bad_data(format!("expected object with {key:?}, got {}", self.type_name())));
-        };
-        Ok(pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v))
-    }
-
-    pub(crate) fn str(&self) -> io::Result<&str> {
-        match self {
-            JVal::Str(s) => Ok(s),
-            other => Err(bad_data(format!("expected string, got {}", other.type_name()))),
-        }
-    }
-
-    pub(crate) fn arr(&self) -> io::Result<&[JVal]> {
-        match self {
-            JVal::Arr(a) => Ok(a),
-            other => Err(bad_data(format!("expected array, got {}", other.type_name()))),
-        }
-    }
-
-    pub(crate) fn u64(&self) -> io::Result<u64> {
-        match self {
-            JVal::Num(raw) => {
-                raw.parse().map_err(|_| bad_data(format!("expected u64, got {raw:?}")))
-            }
-            other => Err(bad_data(format!("expected number, got {}", other.type_name()))),
-        }
-    }
-
-    pub(crate) fn usize(&self) -> io::Result<usize> {
-        self.u64().map(|v| v as usize)
-    }
-
-    pub(crate) fn f64(&self) -> io::Result<f64> {
-        match self {
-            JVal::Num(raw) => {
-                raw.parse().map_err(|_| bad_data(format!("expected f64, got {raw:?}")))
-            }
-            other => Err(bad_data(format!("expected number, got {}", other.type_name()))),
-        }
-    }
-}
-
-/// Parses one complete JSON document (with nothing but whitespace
-/// after it).
-pub(crate) fn parse_json(text: &str) -> io::Result<JVal> {
-    let mut p = JsonParser { s: text, i: 0 };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.i != p.s.len() {
-        return Err(bad_data(format!("trailing garbage at byte {}", p.i)));
-    }
-    Ok(v)
-}
-
-/// Walks `s` by byte; `i` only ever rests on a char boundary, because it
-/// advances over ASCII bytes or over whole unescaped runs of a string.
-struct JsonParser<'a> {
-    s: &'a str,
-    i: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.s.as_bytes().get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> io::Result<u8> {
-        self.s.as_bytes().get(self.i).copied().ok_or_else(|| bad_data("unexpected end of JSON"))
-    }
-
-    fn eat(&mut self, b: u8) -> io::Result<()> {
-        if self.peek()? == b {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(bad_data(format!(
-                "expected {:?} at byte {}, got {:?}",
-                b as char, self.i, self.peek()? as char
-            )))
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: JVal) -> io::Result<JVal> {
-        if self.s[self.i..].starts_with(word) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(bad_data(format!("bad literal at byte {}", self.i)))
-        }
-    }
-
-    fn value(&mut self) -> io::Result<JVal> {
-        self.skip_ws();
-        match self.peek()? {
-            b'n' => self.lit("null", JVal::Null),
-            b't' => self.lit("true", JVal::Bool(true)),
-            b'f' => self.lit("false", JVal::Bool(false)),
-            b'"' => Ok(JVal::Str(self.string()?)),
-            b'[' => {
-                self.i += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek()? == b']' {
-                    self.i += 1;
-                    return Ok(JVal::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek()? {
-                        b',' => self.i += 1,
-                        b']' => {
-                            self.i += 1;
-                            return Ok(JVal::Arr(items));
-                        }
-                        c => return Err(bad_data(format!("bad array separator {:?}", c as char))),
-                    }
-                }
-            }
-            b'{' => {
-                self.i += 1;
-                let mut pairs = Vec::new();
-                self.skip_ws();
-                if self.peek()? == b'}' {
-                    self.i += 1;
-                    return Ok(JVal::Obj(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.eat(b':')?;
-                    pairs.push((key, self.value()?));
-                    self.skip_ws();
-                    match self.peek()? {
-                        b',' => self.i += 1,
-                        b'}' => {
-                            self.i += 1;
-                            return Ok(JVal::Obj(pairs));
-                        }
-                        c => return Err(bad_data(format!("bad object separator {:?}", c as char))),
-                    }
-                }
-            }
-            c if c == b'-' || c.is_ascii_digit() => {
-                let start = self.i;
-                while matches!(
-                    self.s.as_bytes().get(self.i),
-                    Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                ) {
-                    self.i += 1;
-                }
-                let raw = &self.s[start..self.i];
-                // Validate now so accessors can't hit un-number tokens.
-                raw.parse::<f64>().map_err(|_| bad_data(format!("bad number {raw:?}")))?;
-                Ok(JVal::Num(raw.to_owned()))
-            }
-            c => Err(bad_data(format!("unexpected {:?} at byte {}", c as char, self.i))),
-        }
-    }
-
-    fn string(&mut self) -> io::Result<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            // Copy the unescaped run up to the next quote or backslash
-            // (both ASCII, so the cut lands on a char boundary).
-            let rest = &self.s[self.i..];
-            let run = rest.find(['"', '\\']).ok_or_else(|| bad_data("unterminated string"))?;
-            out.push_str(&rest[..run]);
-            self.i += run + 1;
-            match rest.as_bytes()[run] {
-                b'"' => return Ok(out),
-                _ => {
-                    let e = self.peek()?;
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .s
-                                .get(self.i..self.i + 4)
-                                .ok_or_else(|| bad_data("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| bad_data("bad \\u escape"))?;
-                            self.i += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| bad_data("surrogate \\u escape"))?,
-                            );
-                        }
-                        _ => return Err(bad_data(format!("bad escape \\{}", e as char))),
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-
-    #[test]
-    fn json_round_trips_the_writers() {
-        let v = parse_json(r#"{"a":1,"b":[1.5,null,"x\"y\n"],"c":{"d":true}}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().u64().unwrap(), 1);
-        let b = v.get("b").unwrap().arr().unwrap();
-        assert_eq!(b[0].f64().unwrap(), 1.5);
-        assert_eq!(b[1], JVal::Null);
-        assert_eq!(b[2].str().unwrap(), "x\"y\n");
-        assert!(matches!(v.get("c").unwrap().get("d").unwrap(), JVal::Bool(true)));
-        assert!(parse_json("{\"a\":1} junk").is_err());
-        assert!(parse_json("{").is_err());
-    }
-
-    #[test]
-    fn json_numbers_keep_exact_tokens() {
-        // u64 beyond 2^53 and a shortest-round-trip f64 both survive.
-        let v = parse_json("[18446744073709551615,0.1,-2.5e-3]").unwrap();
-        let a = v.arr().unwrap();
-        assert_eq!(a[0].u64().unwrap(), u64::MAX);
-        assert_eq!(a[1].f64().unwrap(), 0.1);
-        assert_eq!(a[2].f64().unwrap(), -2.5e-3);
-    }
 
     #[test]
     fn fingerprint_is_sensitive_to_every_axis() {
@@ -1654,7 +1315,7 @@ mod tests {
 
     /// One real record line (without its `\n`) from a short small-network
     /// run, its traffic label swapped for multi-byte UTF-8.
-    fn sample_record_line() -> &'static str {
+    pub(crate) fn sample_record_line() -> &'static str {
         static LINE: std::sync::OnceLock<String> = std::sync::OnceLock::new();
         LINE.get_or_init(|| {
             use crate::{BaseScenario, CampaignSpec, Executor};
@@ -1715,47 +1376,43 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Openers that put the parser inside an object key, a string or an
-    /// array before the random pieces start.
-    const JSON_OPENERS: &[&str] = &["", "\"", "{\"", "[\""];
-
-    /// Pieces that stress the parser: structure, escapes (lone `\` and
-    /// short `\u`), numbers, literals and multi-byte UTF-8.
-    #[rustfmt::skip]
-    const JSON_PIECES: &[&str] = &[
-        "{", "}", "[", "]", "\"", ":", ",", " ", "\\", "\\u", "\\u0", "\\u00", "\\u00e9",
-        "\\ud800", "\\n", "0", "-", "1.5e-3", "e", "+", ".", "null", "nul", "true", "fals", "é",
-        "日本", "—", "\u{1f600}", "\"job\"", "\u{0}",
-    ];
+    /// The axes JSON of a spec that sets every axis, as a manifest or a
+    /// submit body carries it.
+    fn sample_axes_json() -> String {
+        use crate::{BaseScenario, CampaignSpec};
+        use eend_wireless::{radio_profiles, stacks, TrafficModel};
+        let spec = CampaignSpec::new("fuzz", BaseScenario::Small)
+            .stacks(vec![stacks::titan_pc(), stacks::dsr_active()])
+            .rates(vec![2.0, 4.5])
+            .node_counts(vec![30, 50])
+            .speeds(vec![0.0, 2.5])
+            .traffic(vec![TrafficModel::Cbr])
+            .radio_profiles(vec![radio_profiles::uniform()])
+            .failures(vec![FailurePlan::none(), FailurePlan::parse("3@10+7@2.5").unwrap()])
+            .seeds(3)
+            .seed_base(7)
+            .secs(30);
+        SpecAxes::of(&spec).unwrap().to_json()
+    }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(512))]
 
         #[test]
-        fn parse_json_never_panics_on_arbitrary_text(
-            opener in 0..JSON_OPENERS.len(),
-            picks in proptest::collection::vec(0..JSON_PIECES.len(), 0..24),
-        ) {
-            let text: String = std::iter::once(JSON_OPENERS[opener])
-                .chain(picks.iter().map(|&i| JSON_PIECES[i]))
-                .collect();
-            if let Err(e) = parse_json(&text) {
-                proptest::prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData);
-            }
-        }
-
-        #[test]
-        fn parse_json_never_panics_on_a_mutated_record_line(
+        fn spec_axes_from_json_never_panics_on_a_mutated_axes_object(
             edits in proptest::collection::vec((0usize..1 << 20, 0u16..256), 1..4),
         ) {
-            let mut bytes = sample_record_line().as_bytes().to_vec();
+            let mut bytes = sample_axes_json().into_bytes();
             for &(at, b) in &edits {
                 let at = at % bytes.len();
                 bytes[at] = b as u8;
             }
             let text = String::from_utf8_lossy(&bytes);
-            if let Err(e) = parse_json(&text) {
-                proptest::prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            match SpecAxes::from_json(&text) {
+                Ok(axes) => {
+                    let _ = axes.to_spec("fuzz");
+                }
+                Err(e) => proptest::prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData),
             }
         }
     }

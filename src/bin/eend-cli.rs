@@ -125,7 +125,8 @@
 //! `--check-improves` exits non-zero if the search winner is worse than
 //! the best single-shot heuristic — the loop-closing guarantee CI holds.
 
-use eend::campaign::serve::{serve, ServeConfig};
+use eend::campaign::json::{parse_json, JVal};
+use eend::campaign::loadgen;
 use eend::campaign::store::Manifest;
 use eend::campaign::{
     merge_stores, merge_stores_streaming, write_atomic, BaseScenario, CampaignResult,
@@ -279,26 +280,6 @@ fn campaign_usage() -> ! {
     std::process::exit(2)
 }
 
-/// Parses one `--failures` element: `none`, or `+`-joined `NODE@SECS`
-/// kill events (the element's literal spelling becomes the plan label).
-fn parse_failure_plan(raw: &str) -> Option<FailurePlan> {
-    let spec = raw.trim();
-    if spec.eq_ignore_ascii_case("none") {
-        return Some(FailurePlan::none());
-    }
-    let mut kills = Vec::new();
-    for kill in spec.split('+') {
-        let (node, at_s) = kill.split_once('@')?;
-        let node: usize = node.trim().parse().ok()?;
-        let at_s: f64 = at_s.trim().parse().ok()?;
-        if !(at_s.is_finite() && at_s >= 0.0) {
-            return None;
-        }
-        kills.push((at_s, node));
-    }
-    (!kills.is_empty()).then(|| FailurePlan { label: spec.to_owned(), kills })
-}
-
 /// Splits a `--stacks` list on commas that sit outside parentheses, so
 /// names like `DSDVH-ODPM(5,10)-PSM` survive intact.
 fn split_stacks(raw: &str) -> Vec<String> {
@@ -420,7 +401,7 @@ fn parse_campaign(args: impl Iterator<Item = String>) -> CampaignOpts {
                     .split(',')
                     .filter(|s| !s.trim().is_empty())
                     .map(|p| {
-                        parse_failure_plan(p).unwrap_or_else(|| {
+                        FailurePlan::parse(p).unwrap_or_else(|| {
                             eprintln!(
                                 "error: bad failure plan {p:?} (want none or NODE@SECS[+NODE@SECS...])"
                             );
@@ -1102,30 +1083,18 @@ fn render_bench_json(o: &BenchOpts, executor: &Executor, results: &[PresetResult
     out
 }
 
-/// Extracts `(preset name, runs_per_sec)` pairs from the `"current"`
-/// section of a committed perf record (falling back to the whole file
-/// when no such section exists). The records are emitted by this binary,
-/// so a line-oriented scan is sufficient — no JSON dependency.
-fn parse_record_rates(text: &str) -> Vec<(String, f64)> {
-    let scope = match text.find("\"current\"") {
-        Some(at) => &text[at..],
-        None => text,
+/// Reads `(preset name, runs_per_sec)` pairs from a perf record: the
+/// `current.presets` of a committed `eend-bench-record/1` when it has a
+/// `current` object, otherwise the root `presets` of a plain
+/// `eend-bench/1` record. A record with neither has no presets.
+fn record_rates(text: &str) -> std::io::Result<Vec<(String, f64)>> {
+    let root = parse_json(text)?;
+    let scope = match root.get_opt("current")? {
+        Some(current @ JVal::Obj(_)) => current,
+        _ => &root,
     };
-    let mut out = Vec::new();
-    for chunk in scope.split("\"name\":").skip(1) {
-        let Some(name) = chunk.split('"').nth(1) else { continue };
-        let Some(rate_at) = chunk.find("\"runs_per_sec\":") else { continue };
-        let tail = &chunk[rate_at + "\"runs_per_sec\":".len()..];
-        let num: String = tail
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        if let Ok(rate) = num.parse::<f64>() {
-            out.push((name.to_owned(), rate));
-        }
-    }
-    out
+    let Some(presets) = scope.get_opt("presets")? else { return Ok(Vec::new()) };
+    presets.list(|p| Ok((p.get("name")?.string()?, p.get("runs_per_sec")?.f64()?)))
 }
 
 fn check_against_record(
@@ -1134,11 +1103,11 @@ fn check_against_record(
     tolerance: f64,
     allow_missing: bool,
 ) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+    let recorded = std::fs::read_to_string(path).and_then(|text| record_rates(&text));
+    let recorded = recorded.unwrap_or_else(|e| {
         eprintln!("error: cannot read perf record {path}: {e}");
         std::process::exit(2)
     });
-    let recorded = parse_record_rates(&text);
     if recorded.is_empty() {
         eprintln!("error: no preset rates found in {path}");
         std::process::exit(2)
@@ -1201,55 +1170,11 @@ fn check_against_record(
 }
 
 // ---------------------------------------------------------------------
-// Loadgen mode: multi-tenant load against an in-process daemon.
-
-/// SIGTERM/SIGINT handling for loadgen without any dependency — the
-/// same flag-polling pattern as the `eend-serve` binary, so the CI
-/// smoke job can assert a clean drain under SIGTERM.
-#[cfg(unix)]
-mod loadgen_signals {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static TERMINATED: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn on_signal(_signum: i32) {
-        TERMINATED.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    pub fn install() {
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
-        }
-    }
-
-    pub fn requested() -> bool {
-        TERMINATED.load(Ordering::SeqCst)
-    }
-}
-
-#[cfg(not(unix))]
-mod loadgen_signals {
-    pub fn install() {}
-    pub fn requested() -> bool {
-        false
-    }
-}
+// Loadgen mode: multi-tenant load against an in-process daemon
+// (`eend::campaign::loadgen`).
 
 struct LoadgenOpts {
-    campaigns: usize,
-    subscribers: usize,
-    seeds: u64,
-    secs: u64,
-    workers: Option<usize>,
-    serial: bool,
-    curve: Option<Vec<usize>>,
+    cfg: loadgen::LoadConfig,
     json: bool,
     json_out: Option<String>,
 }
@@ -1271,17 +1196,9 @@ fn loadgen_usage() -> ! {
 }
 
 fn parse_loadgen(args: impl Iterator<Item = String>) -> LoadgenOpts {
-    let mut o = LoadgenOpts {
-        campaigns: 4,
-        subscribers: 2,
-        seeds: 2,
-        secs: 15,
-        workers: None,
-        serial: false,
-        curve: None,
-        json: false,
-        json_out: None,
-    };
+    let (mut campaigns, mut subscribers, mut seeds, mut secs) = (4, 2, 2, 15);
+    let (mut workers, mut serial, mut curve) = (None::<usize>, false, None::<Vec<usize>>);
+    let (mut json, mut json_out) = (false, None);
     let mut args = args.peekable();
     while let Some(a) = args.next() {
         let mut val = |what: &str| {
@@ -1292,20 +1209,20 @@ fn parse_loadgen(args: impl Iterator<Item = String>) -> LoadgenOpts {
         };
         match a.as_str() {
             "--campaigns" => {
-                o.campaigns = val("--campaigns").parse().unwrap_or_else(|_| loadgen_usage())
+                campaigns = val("--campaigns").parse().unwrap_or_else(|_| loadgen_usage())
             }
             "--subscribers" => {
-                o.subscribers = val("--subscribers").parse().unwrap_or_else(|_| loadgen_usage())
+                subscribers = val("--subscribers").parse().unwrap_or_else(|_| loadgen_usage())
             }
-            "--seeds" => o.seeds = val("--seeds").parse().unwrap_or_else(|_| loadgen_usage()),
-            "--secs" => o.secs = val("--secs").parse().unwrap_or_else(|_| loadgen_usage()),
+            "--seeds" => seeds = val("--seeds").parse().unwrap_or_else(|_| loadgen_usage()),
+            "--secs" => secs = val("--secs").parse().unwrap_or_else(|_| loadgen_usage()),
             "--workers" => {
-                o.workers = Some(val("--workers").parse().unwrap_or_else(|_| loadgen_usage()))
+                workers = Some(val("--workers").parse().unwrap_or_else(|_| loadgen_usage()))
             }
-            "--serial" => o.serial = true,
-            "--curve" => o.curve = Some(parse_list("--curve", &val("--curve"), loadgen_usage)),
-            "--json" => o.json = true,
-            "--json-out" => o.json_out = Some(val("--json-out")),
+            "--serial" => serial = true,
+            "--curve" => curve = Some(parse_list("--curve", &val("--curve"), loadgen_usage)),
+            "--json" => json = true,
+            "--json-out" => json_out = Some(val("--json-out")),
             "--help" | "-h" => loadgen_usage(),
             other => {
                 eprintln!("error: unknown loadgen argument {other}");
@@ -1313,379 +1230,38 @@ fn parse_loadgen(args: impl Iterator<Item = String>) -> LoadgenOpts {
             }
         }
     }
-    if o.campaigns == 0 || o.seeds == 0 || o.curve.as_deref().is_some_and(|c| c.contains(&0)) {
+    if campaigns == 0 || seeds == 0 || curve.as_deref().is_some_and(|c| c.contains(&0)) {
         loadgen_usage()
     }
-    o
-}
-
-/// One loadgen HTTP request against the in-process daemon; responses
-/// are close-delimited, so read-to-end is the whole body.
-fn lg_request(addr: std::net::SocketAddr, raw: &str) -> String {
-    use std::io::{Read as _, Write as _};
-    let mut s = std::net::TcpStream::connect(addr).expect("connect to loadgen daemon");
-    s.write_all(raw.as_bytes()).expect("send request");
-    let mut out = String::new();
-    let _ = s.read_to_string(&mut out);
-    out
-}
-
-fn lg_get(addr: std::net::SocketAddr, path: &str) -> String {
-    lg_request(addr, &format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n"))
-}
-
-fn lg_body(resp: &str) -> &str {
-    resp.split_once("\r\n\r\n").map(|(_, b)| b).unwrap_or("")
-}
-
-/// The `k`-th loadgen campaign: distinct name, same shape, so the
-/// daemon sees N different fingerprints of equal cost.
-fn loadgen_spec(round: &str, k: usize, seeds: u64, secs: u64) -> CampaignSpec {
-    CampaignSpec::new(&format!("loadgen-{round}-{k}"), BaseScenario::Small)
-        .stacks(vec![stacks::titan_pc()])
-        .rates(vec![2.0, 4.0])
-        .seeds(seeds)
-        .secs(secs)
-}
-
-/// Per-subscriber trace: elapsed-since-round-start of each streamed
-/// line, in arrival order.
-type SubscriberTrace = Vec<std::time::Duration>;
-
-/// One measured loadgen round.
-struct LoadgenRound {
-    concurrency: usize,
-    serial: bool,
-    campaigns: usize,
-    jobs_total: usize,
-    submit_wall_s: f64,
-    wall_s: f64,
-    completed_per_s: f64,
-    jobs_per_s: f64,
-    ttfr_p50_ms: f64,
-    ttfr_max_ms: f64,
-    fanout_p50_ms: f64,
-    fanout_p99_ms: f64,
-    interrupted: bool,
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Runs one round: a fresh daemon + data dir, `campaigns` submissions
-/// (all at once, or one at a time under `serial`), `subscribers` live
-/// `/stream` tails per campaign, and the clock on everything.
-fn loadgen_round(
-    tag: &str,
-    workers: usize,
-    campaigns: usize,
-    subscribers: usize,
-    seeds: u64,
-    secs: u64,
-    serial: bool,
-) -> LoadgenRound {
-    let data = std::env::temp_dir().join(format!(
-        "eend-loadgen-{}-{tag}-{campaigns}{}",
-        std::process::id(),
-        if serial { "-serial" } else { "" }
-    ));
-    let _ = std::fs::remove_dir_all(&data);
-    let handle = serve(
-        "127.0.0.1:0",
-        ServeConfig { data_dir: data.clone(), executor: Executor::with_workers(workers) },
-    )
-    .unwrap_or_else(|e| die(&e));
-    let addr = handle.addr();
-
-    let specs: Vec<CampaignSpec> =
-        (0..campaigns).map(|k| loadgen_spec(tag, k, seeds, secs)).collect();
-    let jobs_total: usize = specs.iter().map(|s| s.job_count()).sum();
-
-    let start = std::time::Instant::now();
-    let mut submit_wall_s = 0.0;
-    let mut submit_at: Vec<std::time::Duration> = Vec::with_capacity(campaigns);
-    let mut fps: Vec<String> = Vec::with_capacity(campaigns);
-    let mut tails: Vec<(usize, std::thread::JoinHandle<SubscriberTrace>)> = Vec::new();
-    let mut interrupted = false;
-
-    let submit_one = |k: usize| -> String {
-        let axes = eend::campaign::SpecAxes::of(&specs[k]).expect("loadgen spec axes");
-        let body = format!("{{\"campaign\":\"{}\",\"axes\":{}}}", specs[k].name, axes.to_json());
-        let resp = lg_request(
-            addr,
-            &format!(
-                "POST /submit HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            ),
-        );
-        let b = lg_body(&resp);
-        let at = b.find("\"fingerprint\":\"").expect("submit accepted") + 15;
-        b[at..at + 16].to_owned()
+    // --curve measures a serial baseline *and* a concurrent round per
+    // level; a plain run measures exactly the mode asked for.
+    let cfg = loadgen::LoadConfig {
+        workers: workers.map(|w| w.max(1)).unwrap_or_else(|| Executor::bounded().workers()),
+        subscribers,
+        seeds,
+        secs,
+        serial: curve.is_some() || serial,
+        concurrent: curve.is_some() || !serial,
+        levels: curve.unwrap_or_else(|| vec![campaigns]),
     };
-    let spawn_tails = |k: usize,
-                       fp: &str,
-                       tails: &mut Vec<(usize, std::thread::JoinHandle<SubscriberTrace>)>| {
-        for _ in 0..subscribers {
-            let fp = fp.to_owned();
-            tails.push((
-                k,
-                std::thread::spawn(move || {
-                    use std::io::{BufRead as _, Write as _};
-                    let mut conn =
-                        std::net::TcpStream::connect(addr).expect("subscriber connect");
-                    conn.write_all(
-                        format!("GET /stream/{fp} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes(),
-                    )
-                    .expect("subscriber request");
-                    let mut reader = std::io::BufReader::new(conn);
-                    let mut line = String::new();
-                    let mut in_body = false;
-                    let mut trace = Vec::new();
-                    loop {
-                        line.clear();
-                        match reader.read_line(&mut line) {
-                            Ok(0) | Err(_) => break,
-                            Ok(_) => {}
-                        }
-                        if !in_body {
-                            in_body = line == "\r\n";
-                            continue;
-                        }
-                        trace.push(start.elapsed());
-                    }
-                    trace
-                }),
-            ));
-        }
-    };
-    let wait_campaign_done = |fp: &str, interrupted: &mut bool| {
-        while !*interrupted {
-            let status = lg_get(addr, &format!("/status/{fp}"));
-            let b = lg_body(&status);
-            if b.contains("\"state\":\"done\"") {
-                return;
-            }
-            if b.contains("\"state\":\"failed\"") {
-                die(&format!("loadgen campaign {fp} failed: {b}"));
-            }
-            if loadgen_signals::requested() {
-                *interrupted = true;
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-    };
-
-    if serial {
-        // The PR 7 single-runner baseline: one campaign in flight at a
-        // time, submits/s is gated on full campaign completion.
-        for k in 0..campaigns {
-            if interrupted {
-                break;
-            }
-            let t = std::time::Instant::now();
-            let fp = submit_one(k);
-            submit_wall_s += t.elapsed().as_secs_f64();
-            submit_at.push(start.elapsed());
-            spawn_tails(k, &fp, &mut tails);
-            wait_campaign_done(&fp, &mut interrupted);
-            fps.push(fp);
-        }
-    } else {
-        let t = std::time::Instant::now();
-        for k in 0..campaigns {
-            let fp = submit_one(k);
-            submit_at.push(start.elapsed());
-            spawn_tails(k, &fp, &mut tails);
-            fps.push(fp);
-        }
-        submit_wall_s = t.elapsed().as_secs_f64();
-        for fp in &fps {
-            wait_campaign_done(fp, &mut interrupted);
-            if interrupted {
-                break;
-            }
-        }
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    let completed = fps.len().min(if interrupted { 0 } else { fps.len() });
-
-    // Draining the daemon closes every live stream, so the subscriber
-    // threads all come home — interrupted or not.
-    handle.shutdown();
-    let mut traces: Vec<(usize, SubscriberTrace)> = Vec::with_capacity(tails.len());
-    for (k, t) in tails {
-        traces.push((k, t.join().expect("subscriber thread")));
-    }
-    let _ = std::fs::remove_dir_all(&data);
-
-    // Time to first record, per campaign: earliest streamed line across
-    // its subscribers, relative to its own submit instant.
-    let mut ttfr_ms: Vec<f64> = Vec::new();
-    for (k, submit) in submit_at.iter().enumerate() {
-        let first = traces
-            .iter()
-            .filter(|(tk, trace)| *tk == k && !trace.is_empty())
-            .map(|(_, trace)| trace[0])
-            .min();
-        if let Some(first) = first {
-            ttfr_ms.push((first.saturating_sub(*submit)).as_secs_f64() * 1e3);
-        }
-    }
-    ttfr_ms.sort_by(|a, b| a.total_cmp(b));
-
-    // Fan-out latency, per (campaign, record): how far the slowest
-    // subscriber trails the fastest for the same record.
-    let mut fanout_ms: Vec<f64> = Vec::new();
-    for k in 0..campaigns {
-        let per_sub: Vec<&SubscriberTrace> =
-            traces.iter().filter(|(tk, _)| *tk == k).map(|(_, t)| t).collect();
-        let Some(records) = per_sub.iter().map(|t| t.len()).min() else { continue };
-        for i in 0..records {
-            let times = per_sub.iter().map(|t| t[i]);
-            let (min, max) = (times.clone().min().unwrap(), times.max().unwrap());
-            fanout_ms.push((max.saturating_sub(min)).as_secs_f64() * 1e3);
-        }
-    }
-    fanout_ms.sort_by(|a, b| a.total_cmp(b));
-
-    LoadgenRound {
-        concurrency: if serial { 1 } else { campaigns },
-        serial,
-        campaigns: completed,
-        jobs_total,
-        submit_wall_s,
-        wall_s,
-        completed_per_s: completed as f64 / wall_s,
-        jobs_per_s: jobs_total as f64 / wall_s,
-        ttfr_p50_ms: percentile(&ttfr_ms, 50.0),
-        ttfr_max_ms: ttfr_ms.last().copied().unwrap_or(0.0),
-        fanout_p50_ms: percentile(&fanout_ms, 50.0),
-        fanout_p99_ms: percentile(&fanout_ms, 99.0),
-        interrupted,
-    }
-}
-
-fn loadgen_round_json(r: &LoadgenRound) -> String {
-    format!(
-        "{{\"mode\": \"{}\", \"campaigns\": {}, \"jobs_total\": {}, \"submit_wall_s\": {:.4}, \
-         \"wall_s\": {:.4}, \"completed_per_s\": {:.3}, \"jobs_per_s\": {:.1}, \
-         \"ttfr_p50_ms\": {:.2}, \"ttfr_max_ms\": {:.2}, \"fanout_p50_ms\": {:.2}, \
-         \"fanout_p99_ms\": {:.2}}}",
-        if r.serial { "serial" } else { "concurrent" },
-        r.campaigns,
-        r.jobs_total,
-        r.submit_wall_s,
-        r.wall_s,
-        r.completed_per_s,
-        r.jobs_per_s,
-        r.ttfr_p50_ms,
-        r.ttfr_max_ms,
-        r.fanout_p50_ms,
-        r.fanout_p99_ms
-    )
-}
-
-fn print_loadgen_round(r: &LoadgenRound) {
-    println!(
-        "{:10} x{:<2} {:>7.2} campaigns/s  {:>8.1} jobs/s  ttfr p50 {:>7.1} ms  \
-         fanout p50/p99 {:.1}/{:.1} ms  ({} campaigns, {} jobs, {:.3} s){}",
-        if r.serial { "serial" } else { "concurrent" },
-        r.concurrency,
-        r.completed_per_s,
-        r.jobs_per_s,
-        r.ttfr_p50_ms,
-        r.fanout_p50_ms,
-        r.fanout_p99_ms,
-        r.campaigns,
-        r.jobs_total,
-        r.wall_s,
-        if r.interrupted { "  [interrupted]" } else { "" }
-    );
+    LoadgenOpts { cfg, json, json_out }
 }
 
 fn run_loadgen(o: LoadgenOpts) {
-    loadgen_signals::install();
-    let workers = o.workers.map(|w| w.max(1)).unwrap_or_else(|| Executor::bounded().workers());
+    eend::signals::install();
+    let cfg = &o.cfg;
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-
-    let levels: Vec<usize> = match &o.curve {
-        Some(levels) => levels.clone(),
-        None => vec![o.campaigns],
-    };
     eprintln!(
         "loadgen: {} worker(s), {} host core(s), {} subscriber(s)/campaign, \
          {} seed(s) x {} s grid cells",
-        workers, host_cores, o.subscribers, o.seeds, o.secs
+        cfg.workers, host_cores, cfg.subscribers, cfg.seeds, cfg.secs
     );
-
-    // --curve measures a serial baseline *and* a concurrent round per
-    // level; a plain run measures exactly the mode asked for.
-    let mut rounds: Vec<LoadgenRound> = Vec::new();
-    for (i, &level) in levels.iter().enumerate() {
-        if loadgen_signals::requested() {
-            break;
-        }
-        if o.curve.is_some() || o.serial {
-            let r = loadgen_round(
-                &format!("s{i}"),
-                workers,
-                level,
-                o.subscribers,
-                o.seeds,
-                o.secs,
-                true,
-            );
-            print_loadgen_round(&r);
-            rounds.push(r);
-        }
-        if loadgen_signals::requested() {
-            break;
-        }
-        if o.curve.is_some() || !o.serial {
-            let r = loadgen_round(
-                &format!("c{i}"),
-                workers,
-                level,
-                o.subscribers,
-                o.seeds,
-                o.secs,
-                false,
-            );
-            print_loadgen_round(&r);
-            rounds.push(r);
-        }
-    }
-    let interrupted = loadgen_signals::requested() || rounds.iter().any(|r| r.interrupted);
+    let rounds = loadgen::run(cfg, &eend::signals::requested, &mut |r| println!("{r}"))
+        .unwrap_or_else(|e| die(&e));
+    let interrupted = eend::signals::requested() || rounds.iter().any(|r| r.interrupted);
 
     if o.json || o.json_out.is_some() {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"schema\": \"eend-loadgen/1\",");
-        let _ = writeln!(out, "  \"workers\": {workers},");
-        let _ = writeln!(out, "  \"host_cores\": {host_cores},");
-        let _ = writeln!(out, "  \"subscribers_per_campaign\": {},", o.subscribers);
-        let _ = writeln!(out, "  \"jobs_per_campaign\": {},", 2 * o.seeds);
-        let _ = writeln!(out, "  \"sim_secs_per_job\": {},", o.secs);
-        let _ = writeln!(out, "  \"rounds\": [");
-        for (i, r) in rounds.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{\"concurrency\": {}, \"round\": {}}}{}",
-                r.concurrency,
-                loadgen_round_json(r),
-                if i + 1 < rounds.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, "  \"analysis\": \"{}\"", loadgen_analysis(&rounds, host_cores));
-        let _ = writeln!(out, "}}");
+        let out = loadgen::record_json(cfg, host_cores, &rounds);
         if o.json {
             print!("{out}");
         }
@@ -1700,42 +1276,6 @@ fn run_loadgen(o: LoadgenOpts) {
         return;
     }
     eprintln!("loadgen: done");
-}
-
-/// One-line scaling verdict for the JSON record: concurrent-vs-serial
-/// speedup per level, with the single-core caveat spelled out.
-fn loadgen_analysis(rounds: &[LoadgenRound], host_cores: usize) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    let levels: std::collections::BTreeSet<usize> =
-        rounds.iter().map(|r| if r.serial { r.campaigns.max(r.concurrency) } else { r.concurrency }).collect();
-    for level in levels {
-        let serial = rounds
-            .iter()
-            .find(|r| r.serial && r.campaigns.max(r.concurrency) == level && r.completed_per_s > 0.0);
-        let conc = rounds
-            .iter()
-            .find(|r| !r.serial && r.concurrency == level && r.completed_per_s > 0.0);
-        if let (Some(s), Some(c)) = (serial, conc) {
-            parts.push(format!(
-                "{}x concurrent = {:.2}x serial throughput",
-                level,
-                c.completed_per_s / s.completed_per_s
-            ));
-        }
-    }
-    let caveat = if host_cores == 1 {
-        "Single-core host: jobs serialize on one worker either way, so near-parity \
-         (not >=2x) is the expected curve; the scheduler's win here is fairness and \
-         time-to-first-record, not aggregate throughput. Re-run on a multi-core host \
-         to see the scaling."
-    } else {
-        ""
-    };
-    if parts.is_empty() {
-        caveat.to_owned()
-    } else {
-        format!("{}. {caveat}", parts.join("; "))
-    }
 }
 
 /// Options of the `design` subcommand.
@@ -2158,5 +1698,52 @@ fn main() {
                 );
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rates(text: &str) -> Vec<(String, f64)> {
+        record_rates(text).unwrap()
+    }
+
+    fn pairs(list: &[(&str, f64)]) -> Vec<(String, f64)> {
+        list.iter().map(|&(n, r)| (n.to_owned(), r)).collect()
+    }
+
+    #[test]
+    fn record_rates_reads_the_committed_records() {
+        assert_eq!(
+            rates(include_str!("../../BENCH_pr3.json")),
+            pairs(&[("mobility50", 317.0), ("mobility100", 59.41), ("mobility200", 2.58)])
+        );
+        assert_eq!(
+            rates(include_str!("../../BENCH_pr4.json")),
+            pairs(&[("mobility50", 350.04), ("mobility100", 63.85), ("mobility200", 2.61)])
+        );
+        assert_eq!(
+            rates(include_str!("../../BENCH_pr6.json")),
+            pairs(&[
+                ("mobility50", 207.99),
+                ("mobility100", 47.19),
+                ("mobility200", 1.86),
+                ("mobility1k", 7.41),
+                ("mobility10k", 0.62),
+                ("mobility100k", 0.018),
+            ])
+        );
+        // A loadgen record carries no bench presets.
+        assert_eq!(rates(include_str!("../../BENCH_pr9.json")), Vec::new());
+    }
+
+    #[test]
+    fn record_rates_reads_a_plain_bench_record_and_refuses_bad_ones() {
+        let plain = "{\"presets\":[{\"name\": \"mobility50\", \"runs_per_sec\": 0.0001}]}";
+        assert_eq!(rates(plain), pairs(&[("mobility50", 0.0001)]));
+        assert!(record_rates("{\"presets\":[{\"name\": \"m\", \"runs_per_sec\": null}]}").is_err());
+        assert!(record_rates("{\"presets\":[{\"name\": \"m\"}]}").is_err());
+        assert!(record_rates("{\"presets\": [").is_err());
     }
 }

@@ -28,38 +28,6 @@ use eend::campaign::{Executor, ServeConfig};
 use std::path::PathBuf;
 use std::process::exit;
 
-/// SIGTERM/SIGINT handling without any dependency: a C signal handler
-/// flips one flag; the main thread polls it and runs the graceful
-/// shutdown sequence (stop accepting, let the in-flight record land
-/// durably, flush stores, exit 0).
-#[cfg(unix)]
-mod signals {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static TERMINATED: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn on_signal(_signum: i32) {
-        TERMINATED.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    pub fn install() {
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
-        }
-    }
-
-    pub fn requested() -> bool {
-        TERMINATED.load(Ordering::SeqCst)
-    }
-}
-
 fn usage() -> ! {
     eprintln!(
         "usage: eend-serve [--addr HOST:PORT] [--data DIR] [--workers N]\n\
@@ -114,19 +82,16 @@ fn main() {
         data.display(),
         executor.workers()
     );
-    #[cfg(unix)]
-    {
-        signals::install();
-        while !signals::requested() {
-            std::thread::sleep(std::time::Duration::from_millis(100));
-        }
-        eprintln!("eend-serve: shutdown requested, draining");
-        // Stops accepting, lets the campaign mid-run finish its
-        // in-flight record durably, and joins both service threads —
-        // a restart over the same data dir resumes the missing jobs.
-        handle.shutdown();
-        eprintln!("eend-serve: stopped cleanly");
+    // Without unix signals nothing sets the flag: the daemon serves
+    // until it is killed, as `ServerHandle::join` would.
+    eend::signals::install();
+    while !eend::signals::requested() {
+        std::thread::sleep(std::time::Duration::from_millis(100));
     }
-    #[cfg(not(unix))]
-    handle.join();
+    eprintln!("eend-serve: shutdown requested, draining");
+    // Stops accepting, lets the campaign mid-run finish its in-flight
+    // record durably, and joins both service threads — a restart over
+    // the same data dir resumes the missing jobs.
+    handle.shutdown();
+    eprintln!("eend-serve: stopped cleanly");
 }

@@ -23,6 +23,9 @@
 //! | [`opt`] | `eend-opt` | design-space search, evaluation oracles + cache |
 //! | [`fail`] | `eend-fail` | deterministic failpoints for chaos tests |
 //!
+//! [`signals`] (this crate) is the SIGTERM/SIGINT flag both binaries
+//! drain on.
+//!
 //! # Quick start
 //!
 //! ```
@@ -49,3 +52,5 @@ pub use eend_radio as radio;
 pub use eend_sim as sim;
 pub use eend_stats as stats;
 pub use eend_wireless as wireless;
+
+pub mod signals;
